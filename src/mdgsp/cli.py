@@ -182,11 +182,18 @@ def cmd_denoise(args) -> int:
     gammas2 = _gamma_list(args.gamma2)
     combos = [(a, b) for a in gammas1 for b in gammas2]
 
+    b1 = b2 = None
+    quadratic = EbemParams(p=args.p, q1=args.q1, q2=args.q2).all_quadratic
+    if quadratic and not args.force_gradient and any(a or b for a, b in combos):
+        # every regularized solve of the sweep is closed-form in these bases
+        b1 = eigenbasis(matrices(g1).L, "laplacian")
+        b2 = eigenbasis(matrices(g2).L, "laplacian")
+
     def solve(combo):
         a, b = combo
         params = EbemParams(p=args.p, gamma1=a, gamma2=b, q1=args.q1, q2=args.q2)
         return ebem_minimize(y, g1, g2, params, max_iter=args.max_iter, tol=args.tol,
-                             force_gradient=args.force_gradient)
+                             force_gradient=args.force_gradient, b1=b1, b2=b2)
 
     if len(combos) == 1:
         reports = [solve(combos[0])]

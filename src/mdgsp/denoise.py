@@ -2,9 +2,12 @@
 
 The energy is a p-norm fidelity term plus one weighted edge-difference
 regularizer per factor direction, each with its own weight gamma_n and
-exponent q_n. The all-quadratic case diagonalizes in the 2-D spectral
-domain and is solved in closed form; other convex exponent choices fall
-back to (sub)gradient descent.
+exponent q_n. Each regularizer and its gradient go through the factor's
+weighted incidence operator D (`Graph.incidence`): sum_e w_e |D X|^q and
+D^T (w phi(D X)), so they cost O(|E_n| * n_other) time and memory. The
+all-quadratic case diagonalizes in the 2-D spectral domain and is solved in
+closed form; other convex exponent choices fall back to (sub)gradient
+descent.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, MdgspError
 from .graphs import Graph, matrices
-from .spectral import eigenbasis
+from .spectral import EigenBasis, eigenbasis
 from .transforms import Spectrum2D, gft_2d, inverse_gft_2d
 
 DEFAULT_MAX_ITER = 100_000
@@ -60,13 +63,11 @@ class SolveReport:
     maybe_nonunique: bool = False
 
 
-def _pairwise_diff_energy(x: np.ndarray, w: np.ndarray, q: float, axis: int) -> float:
-    # (1/2) sum_{i,j} w(i,j) sum_along_other |x_i. - x_j.|^q
-    if axis == 0:
-        diffs = np.abs(x[None, :, :] - x[:, None, :])  # (i, j, other)
-        return 0.5 * float(np.einsum("ij,ijk->", w, diffs**q))
-    diffs = np.abs(x[:, None, :] - x[:, :, None])  # (other, i, j)
-    return 0.5 * float(np.einsum("ij,kij->", w, diffs**q))
+def _edge_energy(x: np.ndarray, g: Graph, q: float, axis: int) -> float:
+    # (1/2) sum_{i,j} w(i,j) |x_i. - x_j.|^q counts each edge twice, so it
+    # equals sum_e w_e sum_along_other |(D x)_e.|^q
+    d = g.incidence
+    return float(np.sum(d.weigh(np.abs(d.apply(x, axis)) ** q, axis)))
 
 
 def ebem_energy(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams) -> float:
@@ -80,9 +81,9 @@ def ebem_energy(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph, params: Ebem
     fidelity = float(np.sum(np.abs(x - y) ** params.p))
     e = fidelity
     if params.gamma1 > 0:
-        e += params.gamma1 * _pairwise_diff_energy(x, g1.w, params.q1, axis=0)
+        e += params.gamma1 * _edge_energy(x, g1, params.q1, axis=0)
     if params.gamma2 > 0:
-        e += params.gamma2 * _pairwise_diff_energy(x, g2.w, params.q2, axis=1)
+        e += params.gamma2 * _edge_energy(x, g2, params.q2, axis=1)
     return e
 
 
@@ -96,23 +97,29 @@ def _phi(t: np.ndarray, q: float) -> np.ndarray:
     return np.abs(t) ** (q - 1.0) * np.sign(t)
 
 
+def _edge_gradient(x: np.ndarray, g: Graph, q: float, axis: int) -> np.ndarray:
+    # d/dx of sum_e w_e |(D x)_e|^q is q D^T (w phi(D x)); the factor q is
+    # applied by the caller.
+    d = g.incidence
+    return d.adjoint(d.weigh(_phi(d.apply(x, axis), q), axis), axis)
+
+
 def _ebem_gradient(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph,
                    params: EbemParams) -> np.ndarray:
-    # The 1/2 on each regularizer cancels against the double count of
-    # unordered pairs, leaving a single weighted sum per neighbor.
     g = params.p * _phi(x - y, params.p)
     if params.gamma1 > 0:
-        d = x[:, None, :] - x[None, :, :]  # (i1, j1, i2)
-        g += params.gamma1 * params.q1 * np.einsum("ij,ijk->ik", g1.w, _phi(d, params.q1))
+        g += params.gamma1 * params.q1 * _edge_gradient(x, g1, params.q1, axis=0)
     if params.gamma2 > 0:
-        d = x[:, :, None] - x[:, None, :]  # (i1, i2, j2)
-        g += params.gamma2 * params.q2 * np.einsum("jk,ijk->ij", g2.w, _phi(d, params.q2))
+        g += params.gamma2 * params.q2 * _edge_gradient(x, g2, params.q2, axis=1)
     return g
 
 
-def _closed_form(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams) -> np.ndarray:
-    b1 = eigenbasis(matrices(g1).L, "laplacian")
-    b2 = eigenbasis(matrices(g2).L, "laplacian")
+def _closed_form(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
+                 b1: EigenBasis | None, b2: EigenBasis | None) -> np.ndarray:
+    if b1 is None:
+        b1 = eigenbasis(matrices(g1).L, "laplacian")
+    if b2 is None:
+        b2 = eigenbasis(matrices(g2).L, "laplacian")
     s = gft_2d(y, b1, b2)
     denom = 1.0 + params.gamma1 * s.lambdas1[:, None] + params.gamma2 * s.lambdas2[None, :]
     xhat = Spectrum2D(values=s.values / denom, lambdas1=s.lambdas1, lambdas2=s.lambdas2)
@@ -121,7 +128,8 @@ def _closed_form(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams) -> np.
 
 def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
                   max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-                  force_gradient: bool = False) -> SolveReport:
+                  force_gradient: bool = False, b1: EigenBasis | None = None,
+                  b2: EigenBasis | None = None) -> SolveReport:
     """Minimize the energy for an observation y.
 
     With p = q1 = q2 = 2 the spectral closed form is exact: each spectral
@@ -132,6 +140,9 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
     scheme with a diminishing safeguard step and the best iterate is
     reported. Non-convergence (max_iter reached with the residual above
     tol) is reported in the result, not raised.
+
+    `b1`/`b2` are the factors' Laplacian eigenbases, if already computed;
+    only the closed form uses them (a gamma sweep diagonalizes once).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (g1.n, g2.n):
@@ -142,7 +153,7 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
                            residual=0.0, method="closed_form")
 
     if params.all_quadratic and not force_gradient:
-        x = _closed_form(y, g1, g2, params)
+        x = _closed_form(y, g1, g2, params, b1, b2)
         return SolveReport(minimizer=x, energy=ebem_energy(x, y, g1, g2, params),
                            iterations=0, residual=0.0, method="closed_form")
 

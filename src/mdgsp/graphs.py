@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,73 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Incidence:
+    """Weighted incidence operator D of a graph, one row per edge.
+
+    Edge e joins vertices i[e] < j[e] with weight w[e], in row-major
+    upper-triangle order. Along one axis of a signal, (D x)[e] is
+    x[i[e]] - x[j[e]], so every edge-wise sum costs O(|E|) per slice of the
+    other axes instead of O(n^2).
+    """
+
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    # Scatter plan for the adjoints. Edges come grouped by i already; `by_j`
+    # is the stable permutation that groups them by j (i still ascending);
+    # `i_runs`/`j_runs` are where each vertex's group starts in those orders.
+    by_j: np.ndarray = field(repr=False)
+    i_runs: np.ndarray = field(repr=False)
+    j_runs: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_weights(cls, w: np.ndarray) -> "Incidence":
+        i, j = np.nonzero(np.triu(w, k=1))
+        by_j = np.argsort(j, kind="stable")
+        return cls(n=w.shape[0], i=_freeze(i), j=_freeze(j), w=_freeze(w[i, j]),
+                   by_j=_freeze(by_j), i_runs=_freeze(_run_starts(i)),
+                   j_runs=_freeze(_run_starts(j[by_j])))
+
+    def apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
+        """D x along `axis`: that axis goes from length n to length |E|."""
+        d = np.take(x, self.i, axis=axis)
+        d -= np.take(x, self.j, axis=axis)
+        return d
+
+    def weigh(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Scale each edge slice of v (indexed by edge along `axis`) by its weight."""
+        shape = [1] * v.ndim
+        shape[axis] = -1
+        return v * self.w.reshape(shape)
+
+    def adjoint(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
+        """D^T v along `axis`: +v[e] onto vertex i[e] and -v[e] onto j[e]."""
+        return self._scatter(v, axis, signed=True)
+
+    def abs_adjoint(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
+        """|D|^T v along `axis`: v[e] onto both endpoints i[e] and j[e]."""
+        return self._scatter(v, axis, signed=False)
+
+    def _scatter(self, v: np.ndarray, axis: int, signed: bool) -> np.ndarray:
+        shape = list(v.shape)
+        shape[axis] = self.n
+        out = np.zeros(shape)
+        if self.i.size:
+            # each vertex sums its lower neighbours' edges, then its higher ones'
+            at_j = np.add.reduceat(np.take(v, self.by_j, axis=axis), self.j_runs, axis=axis)
+            at_i = np.add.reduceat(v, self.i_runs, axis=axis)
+            rows = np.moveaxis(out, axis, 0)
+            rows[self.j[self.by_j[self.j_runs]]] = np.moveaxis(-at_j if signed else at_j, axis, 0)
+            rows[self.i[self.i_runs]] += np.moveaxis(at_i, axis, 0)
+        return out
+
+
+def _run_starts(sorted_ids: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+
+
+@dataclass(frozen=True)
 class Graph:
     """Undirected weighted simple graph with dense symmetric weight storage."""
 
@@ -31,15 +99,20 @@ class Graph:
     def weight(self, i: int, j: int) -> float:
         return float(self.w[i, j])
 
+    @cached_property
+    def incidence(self) -> Incidence:
+        """The weighted incidence operator, built once per graph."""
+        return Incidence.from_weights(self.w)
+
     @property
     def edges(self) -> list[tuple[int, int]]:
         """Unordered edge pairs as sorted (i, j) with i < j."""
-        ii, jj = np.nonzero(np.triu(self.w, k=1))
-        return list(zip(ii.tolist(), jj.tolist()))
+        d = self.incidence
+        return list(zip(d.i.tolist(), d.j.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(np.triu(self.w, k=1)))
+        return int(self.incidence.i.size)
 
     def degrees(self) -> np.ndarray:
         return self.w.sum(axis=1)
@@ -59,11 +132,19 @@ class GraphMatrices:
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """Cartesian product of two factor graphs, materialized on V1 x V2."""
+    """Cartesian product of two factor graphs on V1 x V2.
+
+    Only the factors are stored; the dense (n1*n2)^2 product graph is built
+    on first access to `graph`.
+    """
 
     g1: Graph
     g2: Graph
-    graph: Graph = field(repr=False)
+
+    @cached_property
+    def graph(self) -> Graph:
+        """The product as one graph: w = W1 kron I + I kron W2."""
+        return Graph(n=self.n1 * self.n2, w=_freeze(kronecker_sum(self.g1.w, self.g2.w)))
 
     @property
     def n1(self) -> int:
@@ -162,11 +243,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> ProductGraph:
     are adjacent in the other, so the product adjacency (and Laplacian)
     is the Kronecker sum of the factors'.
     """
-    i1 = np.eye(g1.n)
-    i2 = np.eye(g2.n)
-    w = np.kron(g1.w, i2) + np.kron(i1, g2.w)
-    prod = Graph(n=g1.n * g2.n, w=_freeze(w))
-    return ProductGraph(g1=g1, g2=g2, graph=prod)
+    return ProductGraph(g1=g1, g2=g2)
 
 
 def kronecker_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,9 +273,10 @@ def hop_distances(g: Graph, start: int) -> np.ndarray:
 
 def graph_to_json(g: Graph) -> str:
     """Serialize as {"n": int, "edges": [[i, j, w], ...]} with edges sorted."""
+    d = g.incidence
     payload = {
         "n": g.n,
-        "edges": [[i, j, float(g.w[i, j])] for i, j in g.edges],
+        "edges": [list(e) for e in zip(d.i.tolist(), d.j.tolist(), d.w.tolist())],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -1,9 +1,11 @@
 """Energy-model evaluation and minimization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import laplacian_basis
+from helpers import laplacian_basis, random_graph
 
 from mdgsp import (
     EbemParams,
@@ -14,6 +16,7 @@ from mdgsp import (
     standard_graph,
     total_directional_variation,
 )
+from mdgsp.denoise import _ebem_gradient
 
 
 def grids(n1=4, n2=5):
@@ -88,6 +91,16 @@ def test_closed_form_matches_dense_solve_oracle():
     system = np.eye(20) + 0.3 * np.kron(L1, np.eye(5)) + 1.1 * np.kron(np.eye(4), L2)
     oracle = np.linalg.solve(system, y.reshape(-1)).reshape(4, 5)
     assert np.abs(rep.minimizer - oracle).max() < 1e-8
+
+
+def test_closed_form_reuses_precomputed_bases_exactly():
+    rng = np.random.default_rng(12)
+    g1, g2 = grids()
+    y = rng.standard_normal((4, 5))
+    params = EbemParams(p=2, gamma1=0.3, gamma2=1.1, q1=2, q2=2)
+    fresh = ebem_minimize(y, g1, g2, params)
+    reused = ebem_minimize(y, g1, g2, params, b1=laplacian_basis(g1), b2=laplacian_basis(g2))
+    assert np.array_equal(fresh.minimizer, reused.minimizer)
 
 
 def test_closed_form_denominator_never_degenerates():
@@ -188,3 +201,71 @@ def test_nonconvergence_is_reported_not_raised():
     rep = ebem_minimize(y, g1, g2, params, max_iter=5, tol=1e-14)
     assert not rep.converged
     assert rep.iterations == 5
+
+
+def _dense_energy(x, y, g1, g2, params):
+    # printed definition: each regularizer is (1/2) sum over ordered pairs
+    e = np.sum(np.abs(x - y) ** params.p)
+    d1 = np.abs(x[:, None, :] - x[None, :, :]) ** params.q1  # (i1, j1, i2)
+    d2 = np.abs(x[:, :, None] - x[:, None, :]) ** params.q2  # (i1, i2, j2)
+    e += params.gamma1 * 0.5 * np.sum(g1.w[:, :, None] * d1)
+    e += params.gamma2 * 0.5 * np.sum(g2.w[None, :, :] * d2)
+    return e
+
+
+def _dense_gradient(x, y, g1, g2, params):
+    def phi(t, q):
+        return np.abs(t) ** (q - 1.0) * np.sign(t)
+
+    d1 = x[:, None, :] - x[None, :, :]
+    d2 = x[:, :, None] - x[:, None, :]
+    return (params.p * phi(x - y, params.p)
+            + params.gamma1 * params.q1 * np.sum(g1.w[:, :, None] * phi(d1, params.q1), axis=1)
+            + params.gamma2 * params.q2 * np.sum(g2.w[None, :, :] * phi(d2, params.q2), axis=2))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_edge_energy_and_gradient_match_dense_pairwise_definition(q):
+    rng = np.random.default_rng(31)
+    for n1, n2 in ((1, 4), (5, 3), (6, 7)):
+        g1, g2 = random_graph(rng, n1, p=0.5), random_graph(rng, n2, p=0.5)
+        x, y = rng.standard_normal((2, n1, n2))
+        # each axis on its own, then both together
+        for gamma1, gamma2 in ((0.8, 0.0), (0.0, 1.7), (0.8, 1.7)):
+            params = EbemParams(p=1.5, gamma1=gamma1, gamma2=gamma2, q1=q, q2=q)
+            e = ebem_energy(x, y, g1, g2, params)
+            assert e == pytest.approx(_dense_energy(x, y, g1, g2, params), rel=1e-12)
+            grad = _ebem_gradient(x, y, g1, g2, params)
+            oracle = _dense_gradient(x, y, g1, g2, params)
+            assert np.allclose(grad, oracle, rtol=1e-12, atol=1e-12 * np.abs(oracle).max())
+
+
+def test_edge_gradient_matches_central_differences():
+    rng = np.random.default_rng(32)
+    g1, g2 = random_graph(rng, 5, p=0.6), random_graph(rng, 4, p=0.6)
+    x, y = rng.standard_normal((2, 5, 4))
+    params = EbemParams(p=1.5, gamma1=0.6, gamma2=1.1, q1=1.5, q2=1.5)
+    grad = _ebem_gradient(x, y, g1, g2, params)
+    h = 1e-6
+    numeric = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[idx] = h
+        numeric[idx] = (ebem_energy(x + step, y, g1, g2, params)
+                        - ebem_energy(x - step, y, g1, g2, params)) / (2 * h)
+    assert np.abs(grad - numeric).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+
+
+def test_energy_memory_stays_edge_sized():
+    # a dense (n1, n1, n2) difference tensor would take 64 MB here
+    rng = np.random.default_rng(33)
+    g1, g2 = standard_graph("cycle", 400), standard_graph("path", 50)
+    x, y = rng.standard_normal((2, 400, 50))
+    params = EbemParams(p=2, gamma1=0.5, gamma2=0.5, q1=1.5, q2=1.5)
+    tracemalloc.start()
+    try:
+        ebem_energy(x, y, g1, g2, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

@@ -106,6 +106,16 @@ def test_product_of_two_paths_is_cycle():
     assert np.all(pg.graph.degrees() == 2)
 
 
+def test_product_builds_dense_graph_only_on_demand():
+    # the (n1*n2)^2 weight matrix is built lazily: locality and the
+    # Kronecker-sum matrices need only the factors
+    pg = cartesian_product(standard_graph("path", 3), standard_graph("cycle", 4))
+    matrices(pg)
+    assert "graph" not in vars(pg)
+    assert pg.graph is pg.graph
+    assert pg.graph.edge_count == 4 * 2 + 3 * 4
+
+
 def test_product_path_wheel_counts():
     # |E| = n2 |E1| + n1 |E2| = 9*4 + 5*16
     pg = cartesian_product(standard_graph("path", 5), standard_graph("wheel", 9))

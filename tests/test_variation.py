@@ -1,5 +1,7 @@
 """Gradients, local variation, and the three-way total-variation identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,31 @@ def test_vertex_out_of_range():
         graph_gradient(np.zeros(3), g, 3)
     with pytest.raises(DimensionError):
         local_directional_variation(np.zeros((3, 3)), g, g, 1, (3, 0))
+
+
+def test_local_variation_matches_dense_pairwise_definition():
+    rng = np.random.default_rng(41)
+    for n1, n2 in ((1, 4), (5, 3), (6, 7)):
+        g1, g2 = random_graph(rng, n1, p=0.5), random_graph(rng, n2, p=0.5)
+        f = rng.standard_normal((n1, n2))
+        # sq[i1, i2] = sum_j w(i, j) (f(j) - f(i))^2 along each direction
+        sq1 = np.sum(g1.w[:, :, None] * (f[None, :, :] - f[:, None, :]) ** 2, axis=1)
+        sq2 = np.sum(g2.w[None, :, :] * (f[:, None, :] - f[:, :, None]) ** 2, axis=2)
+        for direction, sq in ((1, sq1), (2, sq2)):
+            local = local_variation_matrix(f, g1, g2, direction)
+            assert np.allclose(local, np.sqrt(sq), rtol=1e-12, atol=0.0)
+
+
+def test_local_variation_memory_stays_edge_sized():
+    # a dense (n1, n1, n2) difference tensor would take 64 MB here
+    rng = np.random.default_rng(42)
+    g1, g2 = standard_graph("cycle", 400), standard_graph("path", 50)
+    f = rng.standard_normal((400, 50))
+    tracemalloc.start()
+    try:
+        for direction in (1, 2):
+            local_variation_matrix(f, g1, g2, direction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
