@@ -156,13 +156,17 @@ def cmd_gft(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    g1, g2, b1, b2 = _load_bases(args)
+    g1 = load_graph(args.g1)
+    g2 = load_graph(args.g2)
     f = load_signal(args.signal)
     kernel = load_kernel(args.kernel)
+    L1, L2 = matrices(g1).L, matrices(g2).L
     if isinstance(kernel, PolyKernel2D):
-        out = polynomial_filter_vertex(f, kernel, matrices(g1).L, matrices(g2).L)
+        # a polynomial kernel runs in the vertex domain: no eigenbasis needed
+        out = polynomial_filter_vertex(f, kernel, L1, L2)
     else:
-        out = spectral_filter_2d(f, kernel, b1, b2)
+        out = spectral_filter_2d(f, kernel, eigenbasis(L1, "laplacian"),
+                                 eigenbasis(L2, "laplacian"))
     out = np.real_if_close(out, tol=100)
     if np.iscomplexobj(out):
         raise KernelError("filter output is complex; the signal CSV stores real values")

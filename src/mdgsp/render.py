@@ -8,7 +8,7 @@ axis 2 vertical, origin at the lower left).
 
 from __future__ import annotations
 
-from ._colormap import color_for
+from ._colormap import VIRIDIS_256, color_indices
 from .transforms import Spectrum2D
 
 _CELL = 24
@@ -22,8 +22,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text: str) -> str:
+    """XML character data: `xml.sax.saxutils.escape` without its ~40 ms import."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def spectrum_heatmap_svg(s: Spectrum2D, title: str = "") -> str:
-    """Render spectral power as an SVG heatmap string."""
+    """Render spectral power as an SVG heatmap string; `title` is XML-escaped."""
     power = s.power()
     n1, n2 = power.shape
     vmax = float(power.max())
@@ -38,14 +43,15 @@ def spectrum_heatmap_svg(s: Spectrum2D, title: str = "") -> str:
     ]
     if title:
         out.append(
-            f'<text x="{_MARGIN_LEFT}" y="12" font-family="monospace" font-size="10">{title}</text>'
+            f'<text x="{_MARGIN_LEFT}" y="12" font-family="monospace" font-size="10">'
+            f"{_escape(title)}</text>"
         )
+    colors = color_indices(power, vmax).tolist()
+    cell_y = [f'{_MARGIN_TOP + (n2 - 1 - k2) * _CELL}" width="{_CELL}" height="{_CELL}" fill="'
+              for k2 in range(n2)]
     for k1 in range(n1):
-        for k2 in range(n2):
-            x = _MARGIN_LEFT + k1 * _CELL
-            y = _MARGIN_TOP + (n2 - 1 - k2) * _CELL
-            col = color_for(float(power[k1, k2]), vmax)
-            out.append(f'<rect x="{x}" y="{y}" width="{_CELL}" height="{_CELL}" fill="{col}"/>')
+        head = f'<rect x="{_MARGIN_LEFT + k1 * _CELL}" y="'
+        out += [f'{head}{y}{VIRIDIS_256[c]}"/>' for y, c in zip(cell_y, colors[k1])]
     # axis tick labels: eigenvalues along each frequency axis
     ybase = _MARGIN_TOP + n2 * _CELL
     for k1 in range(n1):

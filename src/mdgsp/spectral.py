@@ -87,11 +87,10 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
     vectors = vectors[:, order].copy()
 
     # Sign rule: first component with magnitude above SIGN_EPS is positive.
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        lead = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if lead.size and col[lead[0]] < 0:
-            vectors[:, k] = -col
+    cols = np.arange(vectors.shape[1])
+    lead = vectors[np.argmax(np.abs(vectors) > SIGN_EPS, axis=0), cols]
+    flip = (lead < 0) & (np.abs(lead) > SIGN_EPS)
+    vectors[:, flip] = -vectors[:, flip]
 
     if source == "laplacian":
         if abs(values[0]) > 1e-10:
@@ -139,15 +138,24 @@ def multiplicity_partition(basis: EigenBasis, tol_mult: float | None = None) -> 
     return MultiplicityPartition(groups=partition_values(values, tol_mult))
 
 
+def group_bounds(values: np.ndarray, tol_mult: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage grouping of an ascending value sequence, as arrays.
+
+    A new group starts wherever the gap to the previous value exceeds
+    tol_mult. Returns the start index and the size of every group.
+    """
+    values = np.asarray(values)
+    starts = np.flatnonzero(np.diff(values) > tol_mult) + 1
+    if len(values):
+        starts = np.concatenate(([0], starts))
+    sizes = np.diff(np.append(starts, len(values)))
+    return starts, sizes
+
+
 def partition_values(values: np.ndarray, tol_mult: float) -> list[list[int]]:
-    """Single-linkage grouping of an ascending value sequence."""
-    groups: list[list[int]] = []
-    for k, v in enumerate(values):
-        if groups and v - values[groups[-1][-1]] <= tol_mult:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    return groups
+    """Single-linkage grouping of an ascending value sequence (`group_bounds`)."""
+    starts, sizes = group_bounds(values, tol_mult)
+    return [list(range(s, s + k)) for s, k in zip(starts.tolist(), sizes.tolist())]
 
 
 def vandermonde(values: np.ndarray, ncols: int | None = None) -> np.ndarray:
@@ -163,10 +171,19 @@ def vandermonde(values: np.ndarray, ncols: int | None = None) -> np.ndarray:
     return np.power.outer(values, np.arange(ncols, dtype=np.float64))
 
 
+def float_reprs(a: np.ndarray) -> list[str]:
+    """Shortest round-trip text of every entry of a real array, in C order.
+
+    Every CSV writer prints a float as `repr` of the Python float that
+    `tolist()` yields; this applies that to a whole array.
+    """
+    return list(map(repr, np.asarray(a, dtype=np.float64).ravel().tolist()))
+
+
 def spectrum_to_csv(values: np.ndarray) -> str:
     """CSV (index, eigenvalue) with shortest round-trip float formatting."""
     lines = ["index,eigenvalue"]
-    lines += [f"{k},{float(v)!r}" for k, v in enumerate(values)]
+    lines += [f"{k},{v}" for k, v in enumerate(float_reprs(values))]
     return "\n".join(lines) + "\n"
 
 

@@ -10,13 +10,14 @@ grouping sum frequencies.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionError, FormatError, SpectrumError
-from .spectral import EigenBasis, partition_values
+from .spectral import EigenBasis, float_reprs, group_bounds
 
 Signal2D = np.ndarray  # real (n1, n2) matrix; validated at function entry
 
@@ -47,17 +48,54 @@ class SpectralGroup:
     members: list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumGroup1D:
-    """2-D spectrum aggregated over coincident sum frequencies."""
+    """2-D spectrum aggregated over coincident sum frequencies.
 
-    groups: list[SpectralGroup]
+    Group g holds the flat spectrum indices `order[starts[g]:starts[g] +
+    sizes[g]]` (k1 * n2 + k2, ascending sum frequency), its mean sum
+    frequency `group_freqs[g]` and its summed power `group_powers[g]`.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    group_freqs: np.ndarray
+    group_powers: np.ndarray
+    n2: int
+
+    @property
+    def groups(self) -> Sequence[SpectralGroup]:
+        return _GroupView(self)
 
     def frequencies(self) -> np.ndarray:
-        return np.array([g.frequency for g in self.groups])
+        return self.group_freqs
 
     def powers(self) -> np.ndarray:
-        return np.array([g.power for g in self.groups])
+        return self.group_powers
+
+
+class _GroupView(Sequence):
+    """Read-only sequence of `SpectralGroup`s, each built when indexed."""
+
+    def __init__(self, grouped: SpectrumGroup1D):
+        self._g = grouped
+
+    def __len__(self) -> int:
+        return len(self._g.sizes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        g = self._g
+        i = range(len(self))[i]  # bounds check, negative indices
+        start = int(g.starts[i])
+        flat = g.order[start:start + int(g.sizes[i])].tolist()
+        return SpectralGroup(
+            frequency=float(g.group_freqs[i]),
+            power=float(g.group_powers[i]),
+            members=[divmod(v, g.n2) for v in flat],
+        )
 
 
 def _check_signal(f: np.ndarray, n: int | tuple[int, ...], what: str = "signal") -> np.ndarray:
@@ -164,29 +202,32 @@ def aggregate_to_1d(s: Spectrum2D, tol_mult: float) -> SpectrumGroup1D:
     sums = np.add.outer(s.lambdas1, s.lambdas2).ravel()
     power = s.power().ravel()
     order = np.argsort(sums, kind="stable")
-    idx_groups = partition_values(sums[order], tol_mult)
-    groups = []
-    for g in idx_groups:
-        flat = order[g]
-        members = [(int(v // n2), int(v % n2)) for v in flat]
-        groups.append(
-            SpectralGroup(
-                frequency=float(np.mean(sums[flat])),
-                power=float(np.sum(power[flat])),
-                members=members,
-            )
-        )
+    starts, sizes = group_bounds(sums[order], tol_mult)
+    freqs = np.empty(len(sizes))
+    powers = np.empty(len(sizes))
+    # One (groups, size) gather per distinct group size, reduced along the
+    # row: the same per-group pairwise summation as np.mean/np.sum on a
+    # single group, so every value matches a group-at-a-time loop bit for
+    # bit (np.add.reduceat sums in another order and does not).
+    for k in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == k)
+        flat = order[starts[which, None] + np.arange(k)]
+        freqs[which] = np.mean(sums[flat], axis=1)
+        powers[which] = np.sum(power[flat], axis=1)
     total = float(np.sum(power))
-    grouped = sum(g.power for g in groups)
+    grouped = sum(powers.tolist())
     if abs(grouped - total) > 1e-10 * max(1.0, total):
         raise SpectrumError("grouped power does not match total spectral power")
-    return SpectrumGroup1D(groups=groups)
+    return SpectrumGroup1D(order=order, starts=starts, sizes=sizes, group_freqs=freqs,
+                           group_powers=powers, n2=n2)
 
 
 def aggregate_to_csv(grouped: SpectrumGroup1D) -> str:
     """CSV rows (frequency, power, size) of the 1-D aggregated view."""
     lines = ["frequency,power,size"]
-    lines += [f"{g.frequency!r},{g.power!r},{len(g.members)}" for g in grouped.groups]
+    lines += [f"{f!r},{p!r},{k}" for f, p, k in zip(grouped.group_freqs.tolist(),
+                                                   grouped.group_powers.tolist(),
+                                                   grouped.sizes.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -232,7 +273,10 @@ def signal_to_csv(f: Signal2D) -> str:
     f = np.asarray(f)
     if f.ndim != 2:
         raise FormatError(f"expected a 2-D signal, got ndim={f.ndim}")
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in f) + "\n"
+    # repr of a row's float list holds each float's repr; one row at a time
+    # keeps the peak as low as a per-element loop
+    rows = np.asarray(f, dtype=np.float64)
+    return "\n".join(repr(row.tolist())[1:-1].replace(", ", ",") for row in rows) + "\n"
 
 
 def signal_from_csv(text: str) -> Signal2D:
@@ -264,14 +308,13 @@ def load_signal(path: str | Path) -> Signal2D:
 def spectrum_to_csv(s: Spectrum2D) -> str:
     """CSV rows (k1, k2, lambda1, lambda2, re, im, power) in index order."""
     lines = ["k1,k2,lambda1,lambda2,re,im,power"]
-    vals = s.values
-    for k1 in range(vals.shape[0]):
-        for k2 in range(vals.shape[1]):
-            v = complex(vals[k1, k2])
-            lines.append(
-                f"{k1},{k2},{float(s.lambdas1[k1])!r},{float(s.lambdas2[k2])!r},"
-                f"{v.real!r},{v.imag!r},{abs(v) ** 2!r}"
-            )
+    lam1 = float_reprs(s.lambdas1)
+    lam2 = float_reprs(s.lambdas2)
+    for k1, row in enumerate(s.values):
+        z = row.astype(np.complex128)
+        # power as Python's abs(complex) ** 2 (libm pow), not numpy's x * x
+        lines += [f"{k1},{k2},{lam1[k1]},{lam2[k2]},{r!r},{i!r},{abs(complex(r, i)) ** 2!r}"
+                  for k2, (r, i) in enumerate(zip(z.real.tolist(), z.imag.tolist()))]
     return "\n".join(lines) + "\n"
 
 

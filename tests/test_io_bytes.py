@@ -1,0 +1,354 @@
+"""Golden byte tests: the array-based writers against per-element oracles.
+
+Each oracle below is the straightforward one-element-at-a-time form of a
+writer or of the 1-D aggregation. The library versions format and reduce
+in bulk and must produce the same strings and the same floats bit for bit.
+"""
+
+import json
+from xml.dom import minidom
+
+import numpy as np
+import pytest
+
+from helpers import laplacian_basis, random_connected_graph
+
+import mdgsp.cli as cli
+from mdgsp import (
+    Spectrum2D,
+    SpectralGroup,
+    aggregate_to_1d,
+    aggregate_to_csv,
+    build_graph,
+    eigenbasis,
+    gft_2d,
+    matrices,
+    save_graph,
+    save_signal,
+    standard_graph,
+)
+from mdgsp._colormap import VIRIDIS_256
+from mdgsp.render import spectrum_heatmap_svg
+from mdgsp.spectral import SIGN_EPS, partition_values
+from mdgsp.spectral import spectrum_to_csv as eig_to_csv
+from mdgsp.transforms import signal_to_csv, spectrum_to_csv
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def ref_partition_values(values, tol_mult):
+    groups = []
+    for k, v in enumerate(values):
+        if groups and v - values[groups[-1][-1]] <= tol_mult:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    return groups
+
+
+def ref_aggregate_groups(s, tol_mult):
+    n2 = s.shape[1]
+    sums = np.add.outer(s.lambdas1, s.lambdas2).ravel()
+    power = s.power().ravel()
+    order = np.argsort(sums, kind="stable")
+    groups = []
+    for g in ref_partition_values(sums[order], tol_mult):
+        flat = order[g]
+        groups.append(SpectralGroup(
+            frequency=float(np.mean(sums[flat])),
+            power=float(np.sum(power[flat])),
+            members=[(int(v // n2), int(v % n2)) for v in flat],
+        ))
+    return groups
+
+
+def ref_aggregate_to_csv(groups):
+    lines = ["frequency,power,size"]
+    lines += [f"{g.frequency!r},{g.power!r},{len(g.members)}" for g in groups]
+    return "\n".join(lines) + "\n"
+
+
+def ref_signal_to_csv(f):
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in np.asarray(f)) + "\n"
+
+
+def ref_spectrum_to_csv(s):
+    lines = ["k1,k2,lambda1,lambda2,re,im,power"]
+    vals = s.values
+    for k1 in range(vals.shape[0]):
+        for k2 in range(vals.shape[1]):
+            v = complex(vals[k1, k2])
+            lines.append(
+                f"{k1},{k2},{float(s.lambdas1[k1])!r},{float(s.lambdas2[k2])!r},"
+                f"{v.real!r},{v.imag!r},{abs(v) ** 2!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def ref_eig_to_csv(values):
+    lines = ["index,eigenvalue"]
+    lines += [f"{k},{float(v)!r}" for k, v in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
+def ref_color_for(value, vmax):
+    if vmax <= 0.0:
+        return VIRIDIS_256[0]
+    t = min(max(value / vmax, 0.0), 1.0)
+    return VIRIDIS_256[int(round(t * 255))]
+
+
+def ref_heatmap_svg(s, title=""):
+    power = s.power()
+    n1, n2 = power.shape
+    vmax = float(power.max())
+    width = 64 + n1 * 24 + 16
+    height = 16 + n2 * 24 + 40
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    if title:
+        out.append(f'<text x="64" y="12" font-family="monospace" font-size="10">{title}</text>')
+    for k1 in range(n1):
+        for k2 in range(n2):
+            x = 64 + k1 * 24
+            y = 16 + (n2 - 1 - k2) * 24
+            col = ref_color_for(float(power[k1, k2]), vmax)
+            out.append(f'<rect x="{x}" y="{y}" width="24" height="24" fill="{col}"/>')
+    ybase = 16 + n2 * 24
+    for k1 in range(n1):
+        x = 64 + k1 * 24 + 12
+        out.append(
+            f'<text x="{x}" y="{ybase + 12}" font-family="monospace" font-size="8" '
+            f'text-anchor="middle">{float(s.lambdas1[k1]):.6g}</text>'
+        )
+    for k2 in range(n2):
+        y = 16 + (n2 - 1 - k2) * 24 + 12 + 3
+        out.append(
+            f'<text x="58" y="{y}" font-family="monospace" font-size="8" '
+            f'text-anchor="end">{float(s.lambdas2[k2]):.6g}</text>'
+        )
+    out.append(
+        f'<text x="{64 + n1 * 24 // 2}" y="{ybase + 28}" font-family="monospace" '
+        f'font-size="9" text-anchor="middle">frequency along factor 1</text>'
+    )
+    out.append(
+        f'<text x="12" y="{16 + n2 * 24 // 2}" font-family="monospace" font-size="9" '
+        f'text-anchor="middle" transform="rotate(-90 12 {16 + n2 * 24 // 2})">'
+        f"frequency along factor 2</text>"
+    )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def ref_sign_rule(m):
+    values, vectors = np.linalg.eigh(np.asarray(m, dtype=np.float64))
+    order = np.argsort(values, kind="stable")
+    vectors = vectors[:, order].copy()
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        lead = np.nonzero(np.abs(col) > SIGN_EPS)[0]
+        if lead.size and col[lead[0]] < 0:
+            vectors[:, k] = -col
+    return vectors
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def random_spectrum(seed, n1=9, n2=7):
+    rng = np.random.default_rng(seed)
+    b1 = laplacian_basis(random_connected_graph(rng, n1))
+    b2 = laplacian_basis(random_connected_graph(rng, n2))
+    return gft_2d(rng.standard_normal((n1, n2)), b1, b2)
+
+
+def path_spectrum(n, seed=0):
+    b = laplacian_basis(standard_graph("path", n))
+    f = np.random.default_rng(seed).standard_normal((n, n))
+    return gft_2d(f, b, b)
+
+
+def complex_spectrum():
+    vals = np.array([[complex(1.5, -2.25), complex(-0.0, 0.0), complex(0.0, -0.0)],
+                     [complex(3e-300, 1e100), complex(-1.0 / 3.0, 0.1), complex(2.0 ** 0.5, -0.0)]])
+    return Spectrum2D(values=vals, lambdas1=np.array([0.0, 1.0 / 3.0]),
+                      lambdas2=np.array([-0.0, 1.0, 1.0 + 1e-12]))
+
+
+def assert_aggregate_matches(s, tol_mult):
+    grp = aggregate_to_1d(s, tol_mult)
+    ref = ref_aggregate_groups(s, tol_mult)
+    assert aggregate_to_csv(grp) == ref_aggregate_to_csv(ref)
+    assert grp.frequencies().tolist() == [g.frequency for g in ref]
+    assert grp.powers().tolist() == [g.power for g in ref]
+    return grp, ref
+
+
+# ---------------------------------------------------------------- writers
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_spectrum_writers_match_oracles(seed):
+    s = random_spectrum(seed)
+    assert spectrum_to_csv(s) == ref_spectrum_to_csv(s)
+    assert signal_to_csv(s.values) == ref_signal_to_csv(s.values)
+    assert eig_to_csv(s.lambdas1) == ref_eig_to_csv(s.lambdas1)
+    assert_aggregate_matches(s, 1e-8)
+    assert spectrum_heatmap_svg(s, title="f.csv") == ref_heatmap_svg(s, title="f.csv")
+    assert spectrum_heatmap_svg(s) == ref_heatmap_svg(s)
+
+
+def test_complex_spectrum_csv_matches_oracle():
+    s = complex_spectrum()
+    text = spectrum_to_csv(s)
+    assert text == ref_spectrum_to_csv(s)
+    assert "0,1,0.0,1.0,-0.0,0.0,0.0\n" in text  # signed zeros kept apart
+    assert "0,2,0.0,1.000000000001,0.0,-0.0,0.0\n" in text
+    assert "0,0,0.0,-0.0," in text  # -0.0 eigenvalue printed as such
+    assert_aggregate_matches(s, 1e-8)
+    assert_aggregate_matches(s, 1e-3)
+    assert spectrum_heatmap_svg(s, title="c") == ref_heatmap_svg(s, title="c")
+
+
+def test_power_column_is_python_pow_not_a_square():
+    # libm pow(|v|, 2) and |v| * |v| disagree in the last digit on a few
+    # rows in 10^4; the power column keeps the former
+    rng = np.random.default_rng(4)
+    s = Spectrum2D(values=rng.standard_normal((100, 100)), lambdas1=np.sort(rng.random(100)),
+                   lambdas2=np.sort(rng.random(100)))
+    assert spectrum_to_csv(s) == ref_spectrum_to_csv(s)
+
+
+def test_signal_csv_negative_zero_and_single_column():
+    f = np.array([[-0.0], [0.0], [1e-310], [-2.5e17], [0.1 + 0.2]])
+    expected = "-0.0\n0.0\n1e-310\n-2.5e+17\n0.30000000000000004\n"
+    assert signal_to_csv(f) == ref_signal_to_csv(f) == expected
+    row = np.array([[-0.0, 1.0, -1.0 / 3.0]])
+    assert signal_to_csv(row) == ref_signal_to_csv(row)
+    ints = np.arange(6).reshape(2, 3)
+    assert signal_to_csv(ints) == ref_signal_to_csv(ints)
+    assert eig_to_csv([0, -0.0, 2]) == ref_eig_to_csv([0, -0.0, 2])
+
+
+def test_all_zero_signal_writers():
+    b = laplacian_basis(standard_graph("path", 5))
+    s = gft_2d(np.zeros((5, 5)), b, b)
+    assert float(s.power().max()) == 0.0
+    svg = spectrum_heatmap_svg(s, title="zero")
+    assert svg == ref_heatmap_svg(s, title="zero")
+    cells = [ln for ln in svg.splitlines() if 'width="24"' in ln]
+    assert len(cells) == 25 and all(VIRIDIS_256[0] in c for c in cells)
+    assert spectrum_to_csv(s) == ref_spectrum_to_csv(s)
+    assert_aggregate_matches(s, 1e-8)
+
+
+# ---------------------------------------------------------------- aggregation
+
+
+@pytest.mark.parametrize("n", [6, 12, 20])
+@pytest.mark.parametrize("tol_mult", [1e-8, 1e-3, 0.1, 0.3])
+def test_path_grid_aggregation_bit_identical(n, tol_mult):
+    assert_aggregate_matches(path_spectrum(n), tol_mult)
+
+
+def test_large_groups_reduce_like_one_group_at_a_time():
+    # groups above 8 members are where numpy's sums go pairwise; at tol 0.3
+    # the 12x12 path grid is one 144-member group, at 0.1 it mixes sizes
+    grp, _ = assert_aggregate_matches(path_spectrum(12, seed=5), 0.3)
+    assert grp.sizes.tolist() == [144]
+    grp, _ = assert_aggregate_matches(path_spectrum(12, seed=5), 0.1)
+    assert max(grp.sizes) > 8 and len(set(grp.sizes.tolist())) > 8
+    grp, _ = assert_aggregate_matches(path_spectrum(20, seed=5), 0.1)
+    assert max(grp.sizes) > 128
+
+
+def test_group_view_is_lazy_sequence_of_reference_groups():
+    s = path_spectrum(12, seed=3)
+    grp = aggregate_to_1d(s, 1e-3)
+    ref = ref_aggregate_groups(s, 1e-3)
+    view = grp.groups
+    assert len(view) == len(ref)
+    assert list(view) == ref
+    assert view[-1] == ref[-1]
+    assert view[1:4] == ref[1:4]
+    assert all(isinstance(m, int) for g in view for pair in g.members for m in pair)
+    with pytest.raises(IndexError):
+        view[len(ref)]
+
+
+def test_partition_values_matches_loop():
+    rng = np.random.default_rng(7)
+    for tol in (0.0, 1e-8, 0.05, 0.5):
+        values = np.sort(np.round(rng.random(60) * 4, 1))
+        assert partition_values(values, tol) == ref_partition_values(values, tol)
+    assert partition_values(np.array([]), 1e-8) == []
+    assert partition_values(np.array([3.0]), 1e-8) == [[0]]
+
+
+# ---------------------------------------------------------------- eigenbasis
+
+
+def test_sign_rule_matches_column_loop():
+    rng = np.random.default_rng(11)
+    # a disconnected graph gives eigenvectors with exact leading zeros
+    split = build_graph(6, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0), (4, 5, 0.5)])
+    for g in (random_connected_graph(rng, 30), standard_graph("cycle", 8), split):
+        L = matrices(g).L
+        assert np.array_equal(eigenbasis(L, "laplacian").vectors, ref_sign_rule(L))
+
+
+# ---------------------------------------------------------------- SVG title
+
+
+def test_svg_title_is_escaped_and_parses():
+    s = random_spectrum(0, n1=3, n2=2)
+    svg = spectrum_heatmap_svg(s, title="a&b<c>.csv")
+    assert "a&amp;b&lt;c&gt;.csv" in svg
+    doc = minidom.parseString(svg)
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert texts[0] == "a&b<c>.csv"
+
+
+def test_gft_command_with_markup_in_signal_name(tmp_path):
+    save_graph(standard_graph("path", 3), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", 4), tmp_path / "g2.json")
+    signal = tmp_path / "a&b<c.csv"
+    save_signal(np.random.default_rng(0).standard_normal((3, 4)), signal)
+    svg = tmp_path / "s.svg"
+    assert cli.main(["gft", "--g1", str(tmp_path / "g1.json"), "--g2", str(tmp_path / "g2.json"),
+                     "--signal", str(signal), "--out", str(tmp_path / "s.csv"),
+                     "--svg", str(svg)]) == 0
+    doc = minidom.parseString(svg.read_text())
+    assert doc.getElementsByTagName("text")[0].firstChild.data == "a&b<c.csv"
+
+
+# ---------------------------------------------------------------- filter
+
+
+@pytest.mark.parametrize("kernel, calls", [
+    ({"kind": "polynomial", "coeffs": [[0.5, 1.0], [1.0, 0.0]]}, 0),
+    ({"kind": "heat", "params": {"tau1": 0.5, "tau2": 0.5}}, 2),
+])
+def test_filter_computes_eigenbases_only_for_spectral_kernels(tmp_path, monkeypatch,
+                                                               kernel, calls):
+    save_graph(standard_graph("path", 4), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", 5), tmp_path / "g2.json")
+    save_signal(np.random.default_rng(1).standard_normal((4, 5)), tmp_path / "f.csv")
+    (tmp_path / "k.json").write_text(json.dumps(kernel))
+    seen = []
+
+    def counting_eigenbasis(m, source):
+        seen.append(source)
+        return eigenbasis(m, source)
+
+    monkeypatch.setattr(cli, "eigenbasis", counting_eigenbasis)
+    assert cli.main(["filter", "--g1", str(tmp_path / "g1.json"),
+                     "--g2", str(tmp_path / "g2.json"), "--signal", str(tmp_path / "f.csv"),
+                     "--kernel", str(tmp_path / "k.json"), "--out",
+                     str(tmp_path / "out.csv")]) == 0
+    assert len(seen) == calls
