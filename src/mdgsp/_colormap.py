@@ -47,8 +47,11 @@ def color_indices(values: np.ndarray, vmax: float) -> np.ndarray:
     """Table index of each value in [0, vmax]; vmax <= 0 maps everything low.
 
     Values are clipped to [0, vmax] and rounded half to even, as Python's
-    `round` does.
+    `round` does. An infinite vmax maps the infinite values high and the
+    rest low.
     """
     if vmax <= 0.0:
         return np.zeros(np.shape(values), dtype=np.intp)
+    if vmax == np.inf:
+        return np.where(np.asarray(values) == np.inf, 255, 0).astype(np.intp)
     return np.rint(np.clip(values / vmax, 0.0, 1.0) * 255).astype(np.intp)

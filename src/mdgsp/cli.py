@@ -281,8 +281,9 @@ def cmd_stationarity(args) -> int:
         g2 = load_graph(args.g2)
         L2 = matrices(g2).L
         b2 = eigenbasis(L2, "laplacian")
-        samples = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2,
-                             args.seed, args.samples, distribution=args.distribution)
+        batch = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2,
+                           args.seed, args.samples, distribution=args.distribution,
+                           b1=b1, b2=b2)
     elif args.kind in ("dir1", "dir2"):
         if not args.g2:
             raise FormatError("directional stationarity needs --g2")
@@ -291,14 +292,14 @@ def cmd_stationarity(args) -> int:
         b2 = eigenbasis(L2, "laplacian")
         direction = 1 if args.kind == "dir1" else 2
         proc = DirectionalProcess(direction=direction, Hs=coeffs)
-        samples = sample_directional(proc, L1 if direction == 1 else L2,
-                                     args.seed, args.samples, distribution=args.distribution)
+        batch = sample_directional(proc, L1 if direction == 1 else L2,
+                                   args.seed, args.samples, distribution=args.distribution,
+                                   basis=b1 if direction == 1 else b2)
     else:  # mv
-        samples = sample_multivariate(coeffs, L1, args.seed, args.samples,
-                                      distribution=args.distribution)
+        batch = sample_multivariate(coeffs, L1, args.seed, args.samples,
+                                    distribution=args.distribution, basis=b1)
         b2 = None
 
-    batch = np.asarray(samples)
     payload: dict = {
         "kind": args.kind,
         "samples": args.samples,

@@ -22,14 +22,23 @@ from .filtering import PolyKernel2D
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, vandermonde
 
 PATH_AGREE_TOL = 1e-9
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of float 1.0
+_CHUNK_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
 class WhiteNoise2D:
     """Seeded white-noise source on a vertex grid.
 
-    Sample i draws from an independent stream keyed by (seed, i), so any
-    subset of samples is reproducible regardless of generation order.
+    The bits come from a Philox counter-based generator keyed by
+    `SeedSequence(seed)`. Sample i reads the b counter steps that follow
+    counter i*b, with b = ceil(n1*n2 / 4) because each step yields 4 words,
+    so any sample or
+    any batch is reproducible regardless of generation order, and `sample(i)`
+    equals row i of `batch(count)` bit for bit at O(1) cost. Every value
+    takes a fixed number of words: Gaussian values come in Box-Muller pairs,
+    one word per uniform, and a Rademacher value is the sign of one word's
+    top bit.
     """
 
     n1: int
@@ -43,16 +52,67 @@ class WhiteNoise2D:
         if self.distribution not in ("gaussian", "rademacher"):
             raise SamplingError(f"unknown noise distribution {self.distribution!r}")
 
+    def _draw(self, first: int, count: int) -> np.ndarray:
+        n = self.n1 * self.n2
+        blocks = -(-n // 4)  # Philox counter steps per sample
+        width = 4 * blocks
+        key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
+        bits = np.random.Philox(key=key, counter=first * blocks)
+        out = np.empty((count, n))
+        # cache-sized pieces transform ~1.6x faster than one pass; same bits
+        rows = max(1, _CHUNK_WORDS // width)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            words = bits.random_raw((stop - start) * width).reshape(stop - start, width)
+            if self.distribution == "gaussian":
+                out[start:stop] = _box_muller(words)[:, :n]
+            else:
+                out[start:stop] = (words >> 63)[:, :n]
+        if self.distribution == "rademacher":
+            out *= 2.0
+            out -= 1.0
+        return out.reshape(count, self.n1, self.n2)
+
     def sample(self, index: int) -> np.ndarray:
-        rng = np.random.default_rng((self.seed, index))
-        if self.distribution == "gaussian":
-            return rng.standard_normal((self.n1, self.n2))
-        return rng.integers(0, 2, size=(self.n1, self.n2)).astype(np.float64) * 2.0 - 1.0
+        if index < 0:
+            raise SamplingError("sample index must be nonnegative")
+        return self._draw(index, 1)[0]
 
     def batch(self, count: int) -> np.ndarray:
         if count < 1:
             raise SamplingError("sample count must be positive")
-        return np.stack([self.sample(i) for i in range(count)])
+        return self._draw(0, count)
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Standard normals from rows of 64-bit words, overwriting them.
+
+    With h half the row length, words j and h+j give the 52-bit uniforms
+    u in (0, 1] and v in [0, 1). Values j and h+j are r cos(theta) and
+    r sin(theta) with r = sqrt(-2 log u) and theta = 2 phi,
+    phi = pi (v - 1/2). The half-angle forms cos(theta) = 2 / (1 + t^2) - 1
+    and sin(theta) = 2 t / (1 + t^2), t = tan(phi), need no cos or sin call.
+    """
+    h = words.shape[1] // 2
+    words >>= 12
+    words |= _ONE_BITS  # 52 random mantissa bits under 1.0's exponent: [1, 2)
+    values = words.view(np.float64)
+    r, t = values[:, :h], values[:, h:]
+    np.subtract(2.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t -= 1.5
+    t *= np.pi
+    np.tan(t, out=t)
+    half = t * t
+    half += 1.0
+    np.divide(r, half, out=half)  # r / (1 + t^2)
+    t *= half
+    t *= 2.0
+    half *= 2.0
+    np.subtract(half, r, out=r)
+    return values
 
 
 @dataclass(frozen=True)
@@ -163,12 +223,15 @@ def _check_paths(vertex: np.ndarray, spectral: np.ndarray, what: str) -> None:
 
 
 def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, count: int,
-               distribution: str = "gaussian", check: bool = True) -> list[np.ndarray]:
+               distribution: str = "gaussian", check: bool = True,
+               b1: EigenBasis | None = None, b2: EigenBasis | None = None) -> np.ndarray:
     """Draw samples X = sum_{s1,s2} H[s1,s2] L1^s1 Z L2^s2 with fresh noise Z.
 
-    Every sample is also synthesized through the spectral route (gain times
-    noise spectrum) and the two must agree to 1e-9; degree bounds are
-    checked against the factor sizes.
+    Returns the (count, n1, n2) array of samples. Every sample is also
+    synthesized through the spectral route (gain times noise spectrum) and
+    the two must agree to 1e-9; degree bounds are checked against the factor
+    sizes. `b1`/`b2` are the Laplacian eigenbases of L1 and L2, if already
+    computed; only that check uses them.
     """
     L1 = np.asarray(L1, dtype=np.float64)
     L2 = np.asarray(L2, dtype=np.float64)
@@ -195,13 +258,15 @@ def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, coun
         X = X + left @ right[s1]
 
     if check:
-        b1 = eigenbasis(L1, "laplacian")
-        b2 = eigenbasis(L2, "laplacian")
+        if b1 is None:
+            b1 = eigenbasis(L1, "laplacian")
+        if b2 is None:
+            b2 = eigenbasis(L2, "laplacian")
         gains = proc.gains(b1, b2)
         Zhat = b1.vectors.T @ Z @ b2.vectors
         X2 = b1.vectors @ (gains * Zhat) @ b2.vectors.T
         _check_paths(X, X2, "factor-graph-wise sampler")
-    return list(X)
+    return X
 
 
 def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis,
@@ -236,13 +301,14 @@ def _require_distinct(values: np.ndarray, tol: float | None, what: str) -> None:
 
 def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count: int,
                        n_other: int | None = None, distribution: str = "gaussian",
-                       check: bool = True) -> list[np.ndarray]:
-    """Draw directionally stationary samples.
+                       check: bool = True, basis: EigenBasis | None = None) -> np.ndarray:
+    """Draw directionally stationary samples as one (count, n1, n2) array.
 
     `L` is the Laplacian of the factor the process is polynomial in; the
     coefficient matrices act on the other index, whose size is taken from
     them. The half-spectral form (transform along the polynomial factor
-    only) is evaluated as well and must match per sample.
+    only) is evaluated as well and must match per sample; `basis` is the
+    eigenbasis of `L`, if already computed, and only that check uses it.
     """
     L = np.asarray(L, dtype=np.float64)
     n = L.shape[0]
@@ -273,7 +339,8 @@ def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count
             X = X + Hs[s] @ right
 
     if check:
-        basis = eigenbasis(L, "laplacian")
+        if basis is None:
+            basis = eigenbasis(L, "laplacian")
         hg = proc.half_gains(basis)  # (n, k, k)
         if proc.direction == 1:
             Zt = basis.vectors.T @ Z  # (M, n, k)
@@ -285,7 +352,7 @@ def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count
             Xt = np.einsum("kij,mjk->mik", hg, Zt)
             X2 = Xt @ basis.vectors.T
         _check_paths(X, X2, "directional sampler")
-    return list(X)
+    return X
 
 
 def construct_directional_from_gamma(Gammas, basis: EigenBasis, direction: int = 1,
@@ -326,15 +393,17 @@ def construct_directional_from_gamma(Gammas, basis: EigenBasis, direction: int =
 
 
 def sample_multivariate(Hs, L: np.ndarray, seed: int, count: int,
-                        distribution: str = "gaussian", check: bool = True) -> list[np.ndarray]:
-    """Draw p-variate stationary samples X = sum_s L^s Z H_s.
+                        distribution: str = "gaussian", check: bool = True,
+                        basis: EigenBasis | None = None) -> np.ndarray:
+    """Draw p-variate stationary samples X = sum_s L^s Z H_s as a (count, n, p) array.
 
     A p-variate signal on a graph is a 2-D signal on the product with the
     p-vertex edgeless graph, so this is exactly direction-1 directional
     sampling and shares its code path (and noise stream) bit for bit.
     """
     proc = DirectionalProcess(direction=1, Hs=np.asarray(Hs, dtype=np.float64))
-    return sample_directional(proc, L, seed, count, distribution=distribution, check=check)
+    return sample_directional(proc, L, seed, count, distribution=distribution, check=check,
+                              basis=basis)
 
 
 def spectra_of(samples, b1: EigenBasis, b2: EigenBasis) -> np.ndarray:
@@ -414,28 +483,15 @@ def _pooled_slice_simdiag(T: np.ndarray, U: np.ndarray, direction: int) -> float
     direction 1 pools the n2 x n2 family Cov(x(., i2), x(., j2)) rotated by
     the given factor basis; direction 2 pools the transposed family.
     """
-    n1, n2 = T.shape[0], T.shape[1]
-    off_energy = 0.0
-    total_energy = 0.0
-    if direction == 1:
-        for i2 in range(n2):
-            for j2 in range(n2):
-                c = T[:, i2, :, j2]
-                r = U.conj().T @ c @ U
-                off = r - np.diag(np.diag(r))
-                off_energy += float(np.sum(np.abs(off) ** 2))
-                total_energy += float(np.sum(np.abs(c) ** 2))
-    else:
-        for i1 in range(n1):
-            for j1 in range(n1):
-                c = T[i1, :, j1, :]
-                r = U.conj().T @ c @ U
-                off = r - np.diag(np.diag(r))
-                off_energy += float(np.sum(np.abs(off) ** 2))
-                total_energy += float(np.sum(np.abs(c) ** 2))
+    # stack the slices as (outer, outer, inner, inner) and rotate them at once
+    slices = T.transpose(1, 3, 0, 2) if direction == 1 else T.transpose(0, 2, 1, 3)
+    rotated = U.conj().T @ slices @ U
+    diag = np.arange(U.shape[0])
+    rotated[..., diag, diag] = 0.0
+    total_energy = float(np.sum(np.abs(slices) ** 2))
     if total_energy == 0.0:
         return 0.0
-    return float(np.sqrt(off_energy / total_energy))
+    return float(np.sqrt(np.sum(np.abs(rotated) ** 2) / total_energy))
 
 
 def _check_mc_pre(m: int, tol: float) -> None:

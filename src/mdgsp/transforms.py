@@ -10,6 +10,7 @@ grouping sum frequencies.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +36,9 @@ class Spectrum2D:
         return self.values.shape
 
     def power(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        """|value|^2 per entry; inf where the square exceeds the float range."""
+        with np.errstate(over="ignore"):
+            return np.abs(self.values) ** 2
 
     def total_power(self) -> float:
         return float(np.sum(self.power()))
@@ -312,10 +315,17 @@ def spectrum_to_csv(s: Spectrum2D) -> str:
     lam2 = float_reprs(s.lambdas2)
     for k1, row in enumerate(s.values):
         z = row.astype(np.complex128)
-        # power as Python's abs(complex) ** 2 (libm pow), not numpy's x * x
-        lines += [f"{k1},{k2},{lam1[k1]},{lam2[k2]},{r!r},{i!r},{abs(complex(r, i)) ** 2!r}"
+        lines += [f"{k1},{k2},{lam1[k1]},{lam2[k2]},{r!r},{i!r},{_power(r, i)!r}"
                   for k2, (r, i) in enumerate(zip(z.real.tolist(), z.imag.tolist()))]
     return "\n".join(lines) + "\n"
+
+
+def _power(re: float, im: float) -> float:
+    """Python's abs(complex) ** 2 (libm pow, not numpy's x * x); inf where it overflows."""
+    try:
+        return abs(complex(re, im)) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def spectrum_from_csv(text: str) -> Spectrum2D:

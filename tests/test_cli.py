@@ -206,6 +206,51 @@ def test_stationarity_multivariate_kind(workdir, tmp_path):
     assert rep["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("kind, coeffs, calls", [
+    ("fgw", {"h": [[1.0, 0.2], [0.1, 0.0]]}, 2),
+    ("dir1", {"hs": (0.3 * np.arange(48).reshape(3, 4, 4) / 48).tolist()}, 2),
+    ("dir2", {"hs": (0.3 * np.arange(36).reshape(4, 3, 3) / 36).tolist()}, 2),
+    ("mv", {"hs": (0.3 * np.arange(12).reshape(3, 2, 2) / 12).tolist()}, 1),
+])
+def test_stationarity_diagonalizes_each_factor_once(workdir, monkeypatch, kind, coeffs, calls):
+    import mdgsp.cli as cli
+    import mdgsp.stationarity as stationarity
+    from mdgsp import eigenbasis
+
+    seen = []
+
+    def counting_eigenbasis(m, source):
+        seen.append(source)
+        return eigenbasis(m, source)
+
+    monkeypatch.setattr(cli, "eigenbasis", counting_eigenbasis)
+    monkeypatch.setattr(stationarity, "eigenbasis", counting_eigenbasis)
+    (workdir / "c.json").write_text(json.dumps(coeffs))
+    argv = ["stationarity", "--mode", "test", "--kind", kind, "--g1", workdir / "g1.json",
+            "--coeffs", workdir / "c.json", "--samples", 2000, "--seed", 5,
+            "--out", workdir / "x.npy", "--report", workdir / "r.json"]
+    if kind != "mv":
+        argv += ["--g2", workdir / "g2.json"]
+    assert run(*argv) == 0
+    assert len(seen) == calls
+    assert np.load(workdir / "x.npy").shape[0] == 2000
+
+
+def test_gft_huge_signal_writes_infinite_power(workdir):
+    # |1e200 * sqrt(12)|^2 is above the float range: the power column says
+    # inf and the command still succeeds
+    save_signal(np.full((3, 4), 1e200), workdir / "big.csv")
+    out = workdir / "spec.csv"
+    svg = workdir / "heat.svg"
+    assert run("gft", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--signal", workdir / "big.csv", "--out", out, "--svg", svg) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows[0][4] == "3.4641016151377546e+200" and rows[0][6] == "inf"
+    assert all(float(r[4]) != float("inf") for r in rows)
+    assert load_spectrum(out).values[0, 0] == pytest.approx(1e200 * np.sqrt(12), rel=1e-12)
+    assert svg.read_text().count("<rect") == 12 + 1
+
+
 def test_bench_command_small(workdir):
     out = workdir / "bench.json"
     assert run("bench", "--sizes", "8,12", "--reps", 2, "--out", out) == 0

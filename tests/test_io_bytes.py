@@ -224,6 +224,21 @@ def test_power_column_is_python_pow_not_a_square():
     assert spectrum_to_csv(s) == ref_spectrum_to_csv(s)
 
 
+def test_power_column_overflows_to_inf_and_keeps_finite_rows():
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    finite = Spectrum2D(values=values.copy(), lambdas1=np.sort(rng.random(4)),
+                        lambdas2=np.sort(rng.random(5)))
+    values[0] = [1e200, -1e200j, 1e154 + 1e154j, 1e308 + 1e308j, 1e150]
+    huge = Spectrum2D(values=values, lambdas1=finite.lambdas1, lambdas2=finite.lambdas2)
+    got = spectrum_to_csv(huge).splitlines()
+    want = ref_spectrum_to_csv(finite).splitlines()
+    assert got[:1] + got[6:] == want[:1] + want[6:]  # header and rows k1 >= 1
+    assert [line.rsplit(",", 1)[1] for line in got[1:6]] == [
+        "inf", "inf", "inf", "inf", repr(abs(1e150) ** 2)]
+    assert got[4].split(",")[4:6] == ["1e+308", "1e+308"]
+
+
 def test_signal_csv_negative_zero_and_single_column():
     f = np.array([[-0.0], [0.0], [1e-310], [-2.5e17], [0.1 + 0.2]])
     expected = "-0.0\n0.0\n1e-310\n-2.5e+17\n0.30000000000000004\n"

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import laplacian_basis
 
+import mdgsp.stationarity as stationarity
 from mdgsp import (
     DirectionalProcess,
     FgwProcess,
@@ -51,6 +52,55 @@ def test_white_noise_moments_and_reproducibility():
     assert np.abs(off).max() < 5 / np.sqrt(M)
     # order independence: sample 5 alone equals sample 5 of the batch
     assert np.array_equal(noise.sample(5), batch[5])
+
+
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_sample_is_row_of_batch_on_padded_grid(distribution):
+    # 3 x 5 = 15 values per sample: not a multiple of the 4 words of a
+    # Philox counter step, so each sample's block carries padding
+    noise = WhiteNoise2D(3, 5, seed=17, distribution=distribution)
+    count = 301
+    batch = noise.batch(count)
+    assert batch.shape == (count, 3, 5) and batch.flags.c_contiguous
+    for i in (0, count // 2, count - 1):
+        assert np.array_equal(noise.sample(i), batch[i])
+    # a longer batch extends a shorter one
+    assert np.array_equal(noise.batch(count + 1000)[:count], batch)
+    # random access costs the same at any index
+    assert noise.sample(10**15).shape == (3, 5)
+
+
+def test_noise_seed_range():
+    big = WhiteNoise2D(2, 3, seed=2**130)
+    batch = big.batch(4)
+    assert np.array_equal(big.sample(3), batch[3])
+    assert not np.array_equal(batch, WhiteNoise2D(2, 3, seed=2**130 + 1).batch(4))
+    with pytest.raises(SamplingError):
+        WhiteNoise2D(2, 3, seed=-1)
+    with pytest.raises(SamplingError):
+        WhiteNoise2D(2, 3, seed=0).sample(-1)
+
+
+def test_gaussian_noise_moments_and_tails():
+    m = 20_000
+    z = WhiteNoise2D(16, 16, seed=29).batch(m).ravel()
+    n = z.size
+    assert abs(z.mean()) < 5 * np.sqrt(1 / n)
+    assert abs((z**2).mean() - 1) < 5 * np.sqrt(2 / n)
+    assert abs((z**3).mean()) < 5 * np.sqrt(15 / n)
+    assert abs((z**4).mean() - 3) < 5 * np.sqrt(96 / n)
+    p = 0.0026997960632601866  # P(|z| > 3)
+    assert abs((np.abs(z) > 3).mean() - p) < 5 * np.sqrt(p * (1 - p) / n)
+
+
+def test_batch_builds_no_generator_per_sample(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-sample Generator")
+
+    monkeypatch.setattr(stationarity.np.random, "default_rng", refuse)
+    for distribution in ("gaussian", "rademacher"):
+        noise = WhiteNoise2D(4, 4, seed=3, distribution=distribution)
+        assert np.array_equal(noise.batch(50)[49], noise.sample(49))
 
 
 def test_rademacher_noise_is_pm_one():
@@ -371,3 +421,81 @@ def test_report_serialization(p3p4):
     assert d["verdict"] == "pass"
     assert len(d["sub"]) == 4
     assert 0.0 <= d["statistic"] <= 1.0
+
+
+# ---------------------------------------------------------------- pooled slices
+
+
+def ref_pooled_slice_simdiag(T, U, direction):
+    n1, n2 = T.shape[0], T.shape[1]
+    off_energy = 0.0
+    total_energy = 0.0
+    pairs = ((i, j) for i in range(n2 if direction == 1 else n1)
+             for j in range(n2 if direction == 1 else n1))
+    for i, j in pairs:
+        c = T[:, i, :, j] if direction == 1 else T[i, :, j, :]
+        r = U.conj().T @ c @ U
+        off = r - np.diag(np.diag(r))
+        off_energy += float(np.sum(np.abs(off) ** 2))
+        total_energy += float(np.sum(np.abs(c) ** 2))
+    if total_energy == 0.0:
+        return 0.0
+    return float(np.sqrt(off_energy / total_energy))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("direction", [1, 2])
+def test_pooled_slice_statistic_matches_slice_loop(seed, direction):
+    rng = np.random.default_rng(seed)
+    n1, n2 = 5, 7
+    samples = rng.standard_normal((40, n1, n2)) * rng.uniform(0.1, 3.0, (n1, n2))
+    covariances = [estimate_cov(samples).values, rng.standard_normal((n1, n2, n1, n2))]
+    n = n1 if direction == 1 else n2
+    bases = [np.linalg.qr(rng.standard_normal((n, n)))[0],
+             np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]]
+    for T in covariances:
+        for U in bases:
+            got = stationarity._pooled_slice_simdiag(T, U, direction)
+            want = ref_pooled_slice_simdiag(T, U, direction)
+            assert got == pytest.approx(want, rel=1e-12)
+    assert stationarity._pooled_slice_simdiag(np.zeros((n1, n2, n1, n2)), bases[0],
+                                              direction) == 0.0
+
+
+# ---------------------------------------------------------------- precomputed bases
+
+
+def test_samplers_reuse_precomputed_bases(p3p4, monkeypatch):
+    L1, L2, b1, b2 = p3p4
+    fgw = FgwProcess(kernel=PolyKernel2D(H=[[0.5, 0.2], [0.3, 0.1]]))
+    Hs = np.random.default_rng(5).standard_normal((3, 4, 4)) * 0.3
+    d1 = DirectionalProcess(1, Hs)
+    d2 = DirectionalProcess(2, np.random.default_rng(6).standard_normal((4, 3, 3)) * 0.3)
+    expected = [sample_fgw(fgw, L1, L2, 3, 20), sample_directional(d1, L1, 4, 20),
+                sample_directional(d2, L2, 5, 20), sample_multivariate(Hs, L1, 6, 20)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("re-diagonalized")
+
+    monkeypatch.setattr(stationarity, "eigenbasis", refuse)
+    got = [sample_fgw(fgw, L1, L2, 3, 20, b1=b1, b2=b2),
+           sample_directional(d1, L1, 4, 20, basis=b1),
+           sample_directional(d2, L2, 5, 20, basis=b2),
+           sample_multivariate(Hs, L1, 6, 20, basis=b1)]
+    for g, e in zip(got, expected):
+        assert isinstance(g, np.ndarray) and np.array_equal(g, e)
+    assert sample_fgw(fgw, L1, L2, 3, 20, check=False).shape == (20, 3, 4)
+
+
+def test_precomputed_bases_still_feed_the_path_check(p3p4):
+    # a basis that does not belong to the Laplacian makes the two paths
+    # disagree, so the vertex-vs-spectral check really ran on it
+    L1, L2, b1, b2 = p3p4
+    wrong = type(b1)(values=b1.values, vectors=b1.vectors[:, ::-1].copy(),
+                     source=b1.source)
+    fgw = FgwProcess(kernel=PolyKernel2D(H=[[0.0], [1.0]]))
+    with pytest.raises(SamplingError):
+        sample_fgw(fgw, L1, L2, 3, 5, b1=wrong, b2=b2)
+    with pytest.raises(SamplingError):
+        sample_directional(DirectionalProcess(1, np.ones((3, 4, 4))), L1, 3, 5,
+                           basis=wrong)
