@@ -39,7 +39,8 @@ from .errors import (
     SamplingError,
     SpectrumError,
 )
-from .filtering import PolyKernel2D, load_kernel, polynomial_filter_vertex, spectral_filter_2d
+from .filtering import PolyKernel2D, float_array, load_kernel
+from .filtering import polynomial_filter_vertex, spectral_filter_2d
 from .graphs import cartesian_product, load_graph, matrices, save_graph
 from .render import spectrum_heatmap_svg
 from .spectral import default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
@@ -202,7 +203,7 @@ def cmd_denoise(args) -> int:
     if len(combos) == 1:
         reports = [solve(combos[0])]
     else:
-        workers = int(os.environ.get("MDGSP_THREADS", "0")) or min(len(combos), os.cpu_count() or 1)
+        workers = _env_threads() or min(len(combos), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(solve, combos))
 
@@ -260,37 +261,30 @@ def _load_coeffs(path: str, kind: str):
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid coefficients JSON: {exc}") from exc
-    if kind == "fgw":
-        if "h" not in payload:
-            raise FormatError('fgw coefficients need key "h" (2-D array)')
-        return np.asarray(payload["h"], dtype=np.float64)
-    if "hs" not in payload:
-        raise FormatError(f'{kind} coefficients need key "hs" (list of square matrices)')
-    return np.asarray(payload["hs"], dtype=np.float64)
+    key, what = ("h", "2-D array") if kind == "fgw" else ("hs", "list of square matrices")
+    if not isinstance(payload, dict) or key not in payload:
+        raise FormatError(f'{kind} coefficients need key "{key}" ({what})')
+    return float_array(payload[key], f'coefficients "{key}"')
 
 
 def cmd_stationarity(args) -> int:
-    g1 = load_graph(args.g1)
-    L1 = matrices(g1).L
+    L1 = matrices(load_graph(args.g1)).L
     b1 = eigenbasis(L1, "laplacian")
     coeffs = _load_coeffs(args.coeffs, args.kind)
+    L2 = b2 = None
+    if args.kind != "mv":
+        if not args.g2:
+            what = "fgw" if args.kind == "fgw" else "directional"
+            raise FormatError(f"{what} stationarity needs --g2")
+        L2 = matrices(load_graph(args.g2)).L
+        b2 = eigenbasis(L2, "laplacian")
+    direction = 2 if args.kind == "dir2" else 1  # mv is direction-1 sampling
 
     if args.kind == "fgw":
-        if not args.g2:
-            raise FormatError("fgw stationarity needs --g2")
-        g2 = load_graph(args.g2)
-        L2 = matrices(g2).L
-        b2 = eigenbasis(L2, "laplacian")
         batch = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2,
                            args.seed, args.samples, distribution=args.distribution,
                            b1=b1, b2=b2)
     elif args.kind in ("dir1", "dir2"):
-        if not args.g2:
-            raise FormatError("directional stationarity needs --g2")
-        g2 = load_graph(args.g2)
-        L2 = matrices(g2).L
-        b2 = eigenbasis(L2, "laplacian")
-        direction = 1 if args.kind == "dir1" else 2
         proc = DirectionalProcess(direction=direction, Hs=coeffs)
         batch = sample_directional(proc, L1 if direction == 1 else L2,
                                    args.seed, args.samples, distribution=args.distribution,
@@ -298,7 +292,6 @@ def cmd_stationarity(args) -> int:
     else:  # mv
         batch = sample_multivariate(coeffs, L1, args.seed, args.samples,
                                     distribution=args.distribution, basis=b1)
-        b2 = None
 
     payload: dict = {
         "kind": args.kind,
@@ -318,16 +311,8 @@ def cmd_stationarity(args) -> int:
                      test_directional_stationarity(batch, 2, b2, tol)]
             payload["tests"] = [rep.to_dict()] + [r.to_dict() for r in extra]
             ok = rep.verdict and all(r.verdict for r in extra)
-        elif args.kind == "dir1":
-            rep = test_directional_stationarity(batch, 1, b1, tol)
-            payload["tests"] = [rep.to_dict()]
-            ok = rep.verdict
-        elif args.kind == "dir2":
-            rep = test_directional_stationarity(batch, 2, b2, tol)
-            payload["tests"] = [rep.to_dict()]
-            ok = rep.verdict
         else:
-            rep = test_directional_stationarity(batch, 1, b1, tol)
+            rep = test_directional_stationarity(batch, direction, b1 if direction == 1 else b2, tol)
             payload["tests"] = [rep.to_dict()]
             ok = rep.verdict
         payload["verdict"] = "pass" if ok else "fail"
@@ -457,6 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_threads() -> int:
+    """MDGSP_THREADS as a count; unset or empty reads 0 (let the CLI choose)."""
+    raw = os.environ.get("MDGSP_THREADS", "").strip() or "0"
+    if not raw.isdecimal():
+        raise ValueError(f"MDGSP_THREADS must be a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
 def _primary_output(args) -> str | None:
     for attr in ("out", "report", "svg"):
         value = getattr(args, attr, None)
@@ -474,6 +467,11 @@ def _inputs(args) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _env_threads()
+    except ValueError as exc:
+        print(f"mdgsp: error[usage]: {exc}", file=sys.stderr)
+        return 2
     t0 = time.perf_counter()
     try:
         rc = args.func(args)

@@ -4,6 +4,9 @@ A kernel is a scalar response over frequency pairs. Responses are always
 evaluated as functions of the eigenvalue annotations, never of eigenvector
 indices, so coincident eigenvalues automatically receive equal responses
 and filtering is basis-invariant inside degenerate eigenspaces.
+
+Vertex-domain polynomial evaluation, here and in the stationarity samplers,
+has one core: `_poly_apply`.
 """
 
 from __future__ import annotations
@@ -155,21 +158,29 @@ def polynomial_filter_vertex(f: Signal2D, kernel: PolyKernel2D,
     L2 = np.asarray(L2, dtype=np.float64)
     if f.shape != (L1.shape[0], L2.shape[0]):
         raise DimensionError(f"signal shape {f.shape}, expected ({L1.shape[0]}, {L2.shape[0]})")
-    H = kernel.H
-    s1max, s2max = kernel.degrees
-    # right factors: M_{s1} = sum_{s2} H[s1, s2] L2^s2
-    l2_pow = np.empty((s2max + 1,) + L2.shape)
-    l2_pow[0] = np.eye(L2.shape[0])
-    for s in range(1, s2max + 1):
-        l2_pow[s] = l2_pow[s - 1] @ L2
-    right = np.tensordot(H, l2_pow, axes=(1, 0))  # (S1+1, n2, n2)
-    out = np.zeros_like(f, dtype=np.float64)
-    acc = f.astype(np.float64)
-    for s1 in range(s1max + 1):
-        if s1 > 0:
-            acc = L1 @ acc
-        out += acc @ right[s1]
-    return out
+    return _poly_apply(L1, f.astype(np.float64), _right_stack(kernel.H, L2), axis=0)
+
+
+def _right_stack(H: np.ndarray, L2: np.ndarray) -> np.ndarray:
+    """R[s1] = sum_{s2} H[s1, s2] L2^s2, stacked as (S1+1, n2, n2)."""
+    pows = np.empty((H.shape[1],) + L2.shape)
+    pows[0] = np.eye(L2.shape[0])
+    for s in range(1, H.shape[1]):
+        pows[s] = pows[s - 1] @ L2
+    return np.tensordot(H, pows, axes=(1, 0))
+
+
+def _poly_apply(L: np.ndarray, Z: np.ndarray, R: np.ndarray, axis: int) -> np.ndarray:
+    """The polynomial core: sum_s L^s Z R[s] (axis 0) or sum_s R[s] Z L^s (axis 1).
+
+    Z is one (n1, n2) signal or a (count, n1, n2) batch; powers of L are never formed.
+    """
+    X = np.zeros_like(Z)
+    for s, r in enumerate(R):
+        if s > 0:
+            Z = L @ Z if axis == 0 else Z @ L
+        X += Z @ r if axis == 0 else r @ Z
+    return X
 
 
 def filter_1d_kernel_on_product(f: Signal2D, h: Callable[[np.ndarray], np.ndarray],
@@ -211,6 +222,14 @@ def locality_neighborhood(pg: ProductGraph, kernel: PolyKernel2D,
     return out
 
 
+def float_array(value, what: str) -> np.ndarray:
+    """A JSON value as a float64 array; FormatError if it does not convert (e.g. ragged)."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} is not a numeric array: {exc}") from exc
+
+
 def kernel_from_json(text: str) -> SpectralKernel2D | PolyKernel2D:
     """Parse the kernel specification file.
 
@@ -234,25 +253,22 @@ def kernel_from_json(text: str) -> SpectralKernel2D | PolyKernel2D:
     if kind == "polynomial":
         if coeffs is None:
             raise FormatError("polynomial kernel needs coeffs")
-        return PolyKernel2D(H=np.asarray(coeffs, dtype=np.float64))
+        return PolyKernel2D(H=float_array(coeffs, "polynomial coeffs"))
     if kind == "heat":
         try:
             return heat_kernel(float(params["tau1"]), float(params["tau2"]))
-        except KeyError as exc:
-            raise FormatError(f"heat kernel needs params.tau1 and params.tau2: missing {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"heat kernel needs numeric params.tau1 and params.tau2: {exc}") from exc
     if kind == "separable":
         if not (isinstance(coeffs, list) and len(coeffs) == 2):
             raise FormatError("separable kernel needs coeffs = [c1, c2]")
-        c1 = np.asarray(coeffs[0], dtype=np.float64)
-        c2 = np.asarray(coeffs[1], dtype=np.float64)
-        return separable_kernel(
-            lambda l: np.polynomial.polynomial.polyval(l, c1),
-            lambda l: np.polynomial.polynomial.polyval(l, c2),
-        )
+        c1, c2 = (float_array(c, "separable coeffs") for c in coeffs)
+        return separable_kernel(lambda l: np.polynomial.polynomial.polyval(l, c1),
+                                lambda l: np.polynomial.polynomial.polyval(l, c2))
     if kind == "sum-1d":
         if coeffs is None:
             raise FormatError("sum-1d kernel needs coeffs")
-        c = np.asarray(coeffs, dtype=np.float64)
+        c = float_array(coeffs, "sum-1d coeffs")
         return sum_1d_kernel(lambda l: np.polynomial.polynomial.polyval(l, c))
     raise FormatError(f"unknown kernel kind {kind!r}")
 

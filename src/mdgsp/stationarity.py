@@ -8,7 +8,8 @@ are directional processes on the product with an edgeless graph.
 
 Every sampler evaluates both its vertex-domain definition and its spectral
 form and verifies they agree per sample, so the simulated covariances the
-diagnostic tests consume are backed by two independent code paths.
+diagnostic tests consume are backed by two independent code paths: the
+polynomial core `filtering._poly_apply` and the basis core `transforms._analyze`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, SamplingError
-from .filtering import PolyKernel2D
+from .filtering import PolyKernel2D, _poly_apply, _right_stack
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, vandermonde
+from .transforms import _analyze, _synthesize
 
 PATH_AGREE_TOL = 1e-9
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of float 1.0
@@ -241,30 +243,16 @@ def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, coun
         raise SamplingError(
             f"kernel degrees {proc.kernel.degrees} exceed factor sizes ({n1 - 1}, {n2 - 1})"
         )
-    noise = WhiteNoise2D(n1, n2, seed, distribution)
-    Z = noise.batch(count)
-
-    acc = np.eye(n2)
-    pow2 = [acc]
-    for _ in range(H.shape[1] - 1):
-        acc = acc @ L2
-        pow2.append(acc)
-    right = np.tensordot(H, np.stack(pow2), axes=(1, 0))  # (S1+1, n2, n2)
-    X = np.zeros_like(Z)
-    left = Z
-    for s1 in range(H.shape[0]):
-        if s1 > 0:
-            left = L1 @ left
-        X = X + left @ right[s1]
+    Z = WhiteNoise2D(n1, n2, seed, distribution).batch(count)
+    X = _poly_apply(L1, Z, _right_stack(H, L2), axis=0)
 
     if check:
         if b1 is None:
             b1 = eigenbasis(L1, "laplacian")
         if b2 is None:
             b2 = eigenbasis(L2, "laplacian")
-        gains = proc.gains(b1, b2)
-        Zhat = b1.vectors.T @ Z @ b2.vectors
-        X2 = b1.vectors @ (gains * Zhat) @ b2.vectors.T
+        Xhat = proc.gains(b1, b2) * spectra_of(Z, b1, b2)
+        X2 = _synthesize(_synthesize(Xhat, b1, 1), b2, 2)
         _check_paths(X, X2, "factor-graph-wise sampler")
     return X
 
@@ -319,39 +307,17 @@ def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count
     if n_other is not None and n_other != k:
         raise DimensionError(f"coefficient matrices are {k} x {k}, expected {n_other}")
 
-    if proc.direction == 1:
-        noise = WhiteNoise2D(n, k, seed, distribution)
-        Z = noise.batch(count)
-        X = np.zeros_like(Z)
-        left = Z
-        for s in range(n):
-            if s > 0:
-                left = L @ left
-            X = X + left @ Hs[s]
-    else:
-        noise = WhiteNoise2D(k, n, seed, distribution)
-        Z = noise.batch(count)
-        X = np.zeros_like(Z)
-        right = Z
-        for s in range(n):
-            if s > 0:
-                right = right @ L
-            X = X + Hs[s] @ right
+    shape = (n, k) if proc.direction == 1 else (k, n)
+    Z = WhiteNoise2D(*shape, seed, distribution).batch(count)
+    X = _poly_apply(L, Z, Hs, axis=proc.direction - 1)
 
     if check:
         if basis is None:
             basis = eigenbasis(L, "laplacian")
-        hg = proc.half_gains(basis)  # (n, k, k)
-        if proc.direction == 1:
-            Zt = basis.vectors.T @ Z  # (M, n, k)
-            Xt = np.einsum("mki,kij->mkj", Zt, hg)
-            X2 = basis.vectors @ Xt
-        else:
-            Zt = Z @ basis.vectors  # (M, k, n)
-            # column form: Xt[:, :, k2] = Htilde_k2 @ Zt[:, :, k2]
-            Xt = np.einsum("kij,mjk->mik", hg, Zt)
-            X2 = Xt @ basis.vectors.T
-        _check_paths(X, X2, "directional sampler")
+        # Xt[:, k] = Zt[:, k] @ Htilde_k (direction 1) or Htilde_k @ Zt[:, :, k] (direction 2)
+        subscripts = "mki,kij->mkj" if proc.direction == 1 else "mjk,kij->mik"
+        Xt = np.einsum(subscripts, half_spectra_of(Z, basis, proc.direction), proc.half_gains(basis))
+        _check_paths(X, _synthesize(Xt, basis, proc.direction), "directional sampler")
     return X
 
 
@@ -408,16 +374,12 @@ def sample_multivariate(Hs, L: np.ndarray, seed: int, count: int,
 
 def spectra_of(samples, b1: EigenBasis, b2: EigenBasis) -> np.ndarray:
     """2-D spectra of a stack of samples, as one (M, n1, n2) array."""
-    batch = _as_batch(samples)
-    return b1.vectors.conj().T @ batch @ b2.vectors.conj()
+    return _analyze(_analyze(_as_batch(samples), b1, 1), b2, 2)
 
 
 def half_spectra_of(samples, basis: EigenBasis, direction: int) -> np.ndarray:
     """Transform each sample along one factor only."""
-    batch = _as_batch(samples)
-    if direction == 1:
-        return basis.vectors.conj().T @ batch
-    return batch @ basis.vectors.conj()
+    return _analyze(_as_batch(samples), basis, 1 if direction == 1 else 2)
 
 
 def estimate_cov(samples) -> CovTensor:

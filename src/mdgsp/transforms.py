@@ -1,5 +1,8 @@
 """Graph Fourier transforms: 1-D, 2-D, n-D, adjacency-based, multivariate.
 
+Every transform, inverse and sample spectrum wraps one per-axis basis core:
+`_analyze` (U^H) and `_synthesize` (U) along one axis of an array of any rank.
+
 Signals on a product graph are stored as n1 x n2 matrices (row index runs
 over the first factor). Spectra are index-addressed matrices of the same
 shape carrying the two factor eigenvalue lists as annotations; keying by
@@ -111,21 +114,37 @@ def _check_signal(f: np.ndarray, n: int | tuple[int, ...], what: str = "signal")
     return f
 
 
+def _along(A: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    """A applied along axis `axis` (>= 0) of x, every other axis kept as a batch axis."""
+    if x.ndim == 1 or axis == x.ndim - 2:
+        return A @ x
+    if axis == x.ndim - 1:
+        return x @ A.T
+    return np.moveaxis(A @ np.moveaxis(x, axis, -2), -2, axis)
+
+
+def _analyze(x: np.ndarray, basis: EigenBasis, axis: int) -> np.ndarray:
+    """The basis core's analysis: U^H along `axis` (rows: U^H @ x, last axis: x @ conj(U))."""
+    return _along(basis.vectors.conj().T, x, axis)
+
+
+def _synthesize(x: np.ndarray, basis: EigenBasis, axis: int) -> np.ndarray:
+    """The basis core's synthesis: U along `axis` (rows: U @ x, last axis: x @ U^T)."""
+    return _along(basis.vectors, x, axis)
+
+
 def gft_1d(f: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Expansion coefficients of f in the eigenbasis: fhat_k = <f, u_k>."""
-    f = _check_signal(f, basis.n)
-    return basis.vectors.conj().T @ f
+    return _analyze(_check_signal(f, basis.n), basis, 0)
 
 
 def inverse_gft_1d(fhat: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    fhat = _check_signal(fhat, basis.n, "spectrum")
-    return basis.vectors @ fhat
+    return _synthesize(_check_signal(fhat, basis.n, "spectrum"), basis, 0)
 
 
 def gft_2d(f: Signal2D, b1: EigenBasis, b2: EigenBasis) -> Spectrum2D:
     """2-D transform on a product graph: Fhat = U1^H F conj(U2)."""
-    f = _check_signal(f, (b1.n, b2.n))
-    fhat = b1.vectors.conj().T @ f @ b2.vectors.conj()
+    fhat = _analyze(_analyze(_check_signal(f, (b1.n, b2.n)), b1, 0), b2, 1)
     return Spectrum2D(values=fhat, lambdas1=b1.values, lambdas2=b2.values)
 
 
@@ -133,22 +152,21 @@ def inverse_gft_2d(s: Spectrum2D, b1: EigenBasis, b2: EigenBasis) -> Signal2D:
     """Inverse 2-D transform: F = U1 Fhat U2^T."""
     if s.values.shape != (b1.n, b2.n):
         raise DimensionError(f"spectrum shape {s.values.shape} does not match bases ({b1.n}, {b2.n})")
-    return b1.vectors @ s.values @ b2.vectors.T
+    return _synthesize(_synthesize(s.values, b1, 0), b2, 1)
 
 
 def gft_nd(f: np.ndarray, bases: list[EigenBasis]) -> np.ndarray:
     """n-D transform: apply each factor's analysis operator along its axis.
 
     Factors are applied left to right, matching the left-associated product
-    ((G1 x G2) x ... x Gn); for n = 2 this coincides with `gft_2d` and for
-    n = 1 with `gft_1d`.
+    ((G1 x G2) x ... x Gn); for n = 2 this is `gft_2d` bit for bit and for
+    n = 1 it is `gft_1d`.
     """
     if len(bases) < 1:
         raise DimensionError("need at least one basis")
-    f = _check_signal(f, tuple(b.n for b in bases))
-    out = np.asarray(f)
+    out = _check_signal(f, tuple(b.n for b in bases))
     for axis, b in enumerate(bases):
-        out = np.moveaxis(np.tensordot(b.vectors.conj().T, out, axes=(1, axis)), 0, axis)
+        out = _analyze(out, b, axis)
     return out
 
 
@@ -156,12 +174,11 @@ def inverse_gft_nd(fhat: np.ndarray, bases: list[EigenBasis]) -> np.ndarray:
     if len(bases) < 1:
         raise DimensionError("need at least one basis")
     expected = tuple(b.n for b in bases)
-    fhat = np.asarray(fhat)
-    if fhat.shape != expected:
-        raise DimensionError(f"spectrum shape {fhat.shape}, expected {expected}")
-    out = fhat
+    out = np.asarray(fhat)
+    if out.shape != expected:
+        raise DimensionError(f"spectrum shape {out.shape}, expected {expected}")
     for axis, b in enumerate(bases):
-        out = np.moveaxis(np.tensordot(b.vectors, out, axes=(1, axis)), 0, axis)
+        out = _synthesize(out, b, axis)
     return out
 
 
@@ -179,17 +196,13 @@ def adjacency_gft_2d(f: Signal2D, w1: EigenBasis, w2: EigenBasis) -> Spectrum2D:
     """
     _require_adjacency(w1, "w1")
     _require_adjacency(w2, "w2")
-    f = _check_signal(f, (w1.n, w2.n))
-    fhat = w1.vectors.conj().T @ f @ w2.vectors.conj()
-    return Spectrum2D(values=fhat, lambdas1=w1.values, lambdas2=w2.values)
+    return gft_2d(f, w1, w2)
 
 
 def inverse_adjacency_gft_2d(s: Spectrum2D, w1: EigenBasis, w2: EigenBasis) -> Signal2D:
     _require_adjacency(w1, "w1")
     _require_adjacency(w2, "w2")
-    if s.values.shape != (w1.n, w2.n):
-        raise DimensionError(f"spectrum shape {s.values.shape} does not match bases ({w1.n}, {w2.n})")
-    return w1.vectors @ s.values @ w2.vectors.T
+    return inverse_gft_2d(s, w1, w2)
 
 
 def aggregate_to_1d(s: Spectrum2D, tol_mult: float) -> SpectrumGroup1D:
@@ -261,14 +274,14 @@ def multivariate_gft(f: np.ndarray, basis: EigenBasis) -> np.ndarray:
         raise DimensionError(f"signal shape {f.shape} does not match basis size {basis.n}")
     if not np.all(np.isfinite(f)):
         raise DimensionError("signal has non-finite entries")
-    return basis.vectors.conj().T @ f
+    return _analyze(f, basis, 0)
 
 
 def inverse_multivariate_gft(fhat: np.ndarray, basis: EigenBasis) -> np.ndarray:
     fhat = np.asarray(fhat)
     if fhat.ndim != 2 or fhat.shape[0] != basis.n:
         raise DimensionError(f"spectrum shape {fhat.shape} does not match basis size {basis.n}")
-    return basis.vectors @ fhat
+    return _synthesize(fhat, basis, 0)
 
 
 def signal_to_csv(f: Signal2D) -> str:

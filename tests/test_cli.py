@@ -388,3 +388,60 @@ def test_bench_check_equality_flag(workdir):
                "--out", out) == 0
     rep = json.loads(out.read_text())
     assert rep["equality_discrepancy"] <= 1e-9
+
+
+@pytest.mark.parametrize("name, payload", [
+    ("ragged h", {"h": [[1.0, 0.5], [0.2]]}),
+    ("list payload", ["h"]),
+    ("h of strings", {"h": [["a"]]}),
+])
+def test_malformed_coefficients_exit_3(workdir, capsys, name, payload):
+    (workdir / "c.json").write_text(json.dumps(payload))
+    assert run("stationarity", "--mode", "synthesize", "--kind", "fgw",
+               "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--coeffs", workdir / "c.json", "--samples", 10,
+               "--report", workdir / "r.json") == 3
+    assert capsys.readouterr().err.startswith("mdgsp: error[format]: ")
+
+
+def test_ragged_directional_coefficients_exit_3(workdir):
+    (workdir / "c.json").write_text(json.dumps({"hs": [[[1.0]], [[1.0, 2.0]], [[0.0]]]}))
+    assert run("stationarity", "--mode", "synthesize", "--kind", "dir1",
+               "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--coeffs", workdir / "c.json", "--samples", 10,
+               "--report", workdir / "r.json") == 3
+
+
+@pytest.mark.parametrize("kernel", [
+    {"kind": "polynomial", "coeffs": [[1.0, 0.5], [0.2]]},
+    {"kind": "separable", "coeffs": [[1.0, [0.5]], [1.0]]},
+    {"kind": "sum-1d", "coeffs": {"a": 1.0}},
+    {"kind": "heat", "params": {"tau1": "fast", "tau2": 1.0}},
+    ["polynomial"],
+])
+def test_malformed_kernel_exit_3(workdir, capsys, kernel):
+    (workdir / "k.json").write_text(json.dumps(kernel))
+    assert run("filter", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--signal", workdir / "f.csv", "--kernel", workdir / "k.json",
+               "--out", workdir / "o.csv") == 3
+    assert capsys.readouterr().err.startswith("mdgsp: error[format]: ")
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "2x"])
+def test_bad_thread_count_is_a_usage_error(workdir, monkeypatch, capsys, value):
+    monkeypatch.setenv("MDGSP_THREADS", value)
+    assert run("denoise", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--observation", workdir / "f.csv", "--gamma1", "1,2",
+               "--out", workdir / "x.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[usage]: MDGSP_THREADS") and err.count("\n") == 1
+    assert not (workdir / "x-g1_1-g2_0.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["", "0", "1", " 2 "])
+def test_valid_thread_count_runs_the_sweep(workdir, monkeypatch, value):
+    monkeypatch.setenv("MDGSP_THREADS", value)
+    assert run("denoise", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--observation", workdir / "f.csv", "--gamma1", "1,2",
+               "--out", workdir / "x.csv") == 0
+    assert (workdir / "x-g1_1-g2_0.csv").exists() and (workdir / "x-g1_2-g2_0.csv").exists()

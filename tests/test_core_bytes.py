@@ -1,0 +1,250 @@
+"""Golden byte tests: the basis core and the polynomial core against inline oracles.
+
+Every transform, filter and sampler now runs through `transforms._analyze` /
+`_synthesize` (U^H or U along one axis) and `filtering._poly_apply`
+(sum_s L^s Z R[s] along one axis). The oracles below are the expressions
+each public function evaluated on its own before, written out inline; the
+library must return the same floats bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import laplacian_basis, random_connected_graph
+
+from mdgsp import (
+    DirectionalProcess,
+    EigenBasis,
+    FgwProcess,
+    PolyKernel2D,
+    Spectrum2D,
+    adjacency_gft_2d,
+    eigenbasis,
+    gft_1d,
+    gft_2d,
+    gft_nd,
+    half_spectra_of,
+    inverse_adjacency_gft_2d,
+    inverse_gft_1d,
+    inverse_gft_2d,
+    inverse_gft_nd,
+    inverse_multivariate_gft,
+    matrices,
+    multivariate_gft,
+    polynomial_filter_vertex,
+    sample_directional,
+    sample_fgw,
+    sample_multivariate,
+    spectra_of,
+    standard_graph,
+)
+from mdgsp.stationarity import WhiteNoise2D
+
+SIZES = [(7, 5), (16, 16), (60, 30)]
+
+
+def same(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def ref_right_stack(H, L2):
+    acc = np.eye(L2.shape[0])
+    pows = [acc]
+    for _ in range(H.shape[1] - 1):
+        acc = acc @ L2
+        pows.append(acc)
+    return np.tensordot(H, np.stack(pows), axes=(1, 0))
+
+
+def ref_poly_rows(L, Z, R):
+    X = np.zeros_like(Z)
+    left = Z
+    for s in range(len(R)):
+        if s > 0:
+            left = L @ left
+        X = X + left @ R[s]
+    return X
+
+
+def ref_poly_cols(L, Z, R):
+    X = np.zeros_like(Z)
+    right = Z
+    for s in range(len(R)):
+        if s > 0:
+            right = right @ L
+        X = X + R[s] @ right
+    return X
+
+
+def ref_polynomial_filter_vertex(f, H, L1, L2):
+    out = np.zeros_like(f, dtype=np.float64)
+    acc = f.astype(np.float64)
+    right = ref_right_stack(H, L2)
+    for s1 in range(H.shape[0]):
+        if s1 > 0:
+            acc = L1 @ acc
+        out += acc @ right[s1]
+    return out
+
+
+# ---------------------------------------------------------------- fixtures
+
+
+def pair(n1, n2, seed, source="laplacian"):
+    rng = np.random.default_rng(seed)
+    g1 = random_connected_graph(rng, n1)
+    g2 = random_connected_graph(rng, n2)
+    if source == "laplacian":
+        return g1, g2, laplacian_basis(g1), laplacian_basis(g2)
+    return g1, g2, eigenbasis(matrices(g1).W, source), eigenbasis(matrices(g2).W, source)
+
+
+def complex_basis(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return EigenBasis(values=np.sort(rng.random(n)), vectors=q, source="laplacian")
+
+
+# ---------------------------------------------------------------- transforms
+
+
+@pytest.mark.parametrize("n1, n2", SIZES)
+def test_laplacian_transforms_match_their_matrix_products(n1, n2):
+    _, _, b1, b2 = pair(n1, n2, n1 * n2)
+    U1, U2 = b1.vectors, b2.vectors
+    f = np.random.default_rng(1).standard_normal((n1, n2))
+    s = gft_2d(f, b1, b2)
+    assert same(s.values, U1.conj().T @ f @ U2.conj())
+    assert same(inverse_gft_2d(s, b1, b2), U1 @ s.values @ U2.T)
+    assert same(gft_1d(f[:, 0], b1), U1.conj().T @ f[:, 0])
+    assert same(inverse_gft_1d(f[:, 1], b1), U1 @ f[:, 1])
+    assert same(multivariate_gft(f, b1), U1.conj().T @ f)
+    assert same(inverse_multivariate_gft(f, b1), U1 @ f)
+
+
+@pytest.mark.parametrize("n1, n2", SIZES)
+def test_adjacency_transforms_match_their_matrix_products(n1, n2):
+    _, _, w1, w2 = pair(n1, n2, n1 + n2, source="adjacency")
+    f = np.random.default_rng(2).standard_normal((n1, n2))
+    s = adjacency_gft_2d(f, w1, w2)
+    assert same(s.values, w1.vectors.conj().T @ f @ w2.vectors.conj())
+    assert s.lambdas1 is w1.values and s.lambdas2 is w2.values
+    assert same(inverse_adjacency_gft_2d(s, w1, w2), w1.vectors @ s.values @ w2.vectors.T)
+
+
+def test_complex_bases_conjugate_on_both_axes():
+    b1, b2 = complex_basis(6, 3), complex_basis(4, 4)
+    U1, U2 = b1.vectors, b2.vectors
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((6, 4))
+    spec = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    s = Spectrum2D(values=spec, lambdas1=b1.values, lambdas2=b2.values)
+    assert same(gft_2d(f, b1, b2).values, U1.conj().T @ f @ U2.conj())
+    assert same(inverse_gft_2d(s, b1, b2), U1 @ spec @ U2.T)
+    assert same(multivariate_gft(f, b1), U1.conj().T @ f)
+    assert same(inverse_gft_1d(spec[:, 0], b1), U1 @ spec[:, 0])
+    batch = rng.standard_normal((3, 6, 4)) + 1j * rng.standard_normal((3, 6, 4))
+    assert same(spectra_of(batch, b1, b2), U1.conj().T @ batch @ U2.conj())
+    assert same(half_spectra_of(batch, b2, 2), batch @ U2.conj())
+
+
+@pytest.mark.parametrize("n1, n2", SIZES + [(300, 100)])
+def test_gft_nd_of_two_factors_is_gft_2d_bit_for_bit(n1, n2):
+    _, _, b1, b2 = pair(n1, n2, 7 * n1 + n2)
+    f = np.random.default_rng(3).standard_normal((n1, n2))
+    s = gft_2d(f, b1, b2)
+    assert same(gft_nd(f, [b1, b2]), s.values)
+    assert same(inverse_gft_nd(s.values, [b1, b2]), inverse_gft_2d(s, b1, b2))
+    assert same(gft_nd(f[:, 0], [b1]), gft_1d(f[:, 0], b1))
+    assert same(inverse_gft_nd(f[:, 0], [b1]), inverse_gft_1d(f[:, 0], b1))
+
+
+@pytest.mark.parametrize("n1, n2", SIZES)
+def test_sample_spectra_match_their_matrix_products(n1, n2):
+    _, _, b1, b2 = pair(n1, n2, n1 - n2 + 50)
+    U1, U2 = b1.vectors, b2.vectors
+    batch = np.random.default_rng(4).standard_normal((9, n1, n2))
+    assert same(spectra_of(batch, b1, b2), U1.conj().T @ batch @ U2.conj())
+    assert same(half_spectra_of(batch, b1, 1), U1.conj().T @ batch)
+    assert same(half_spectra_of(batch, b2, 2), batch @ U2.conj())
+    # the samplers' check routes wrote these products with .T in place of .conj().T
+    assert same(spectra_of(batch, b1, b2), U1.T @ batch @ U2)
+
+
+# ---------------------------------------------------------------- polynomials
+
+
+@pytest.mark.parametrize("n1, n2", [(16, 16), (300, 100), (5, 9)])
+@pytest.mark.parametrize("degrees", [(0, 0), (2, 1), (1, 3), (4, 4)])
+def test_polynomial_filter_vertex_matches_the_loop(n1, n2, degrees):
+    rng = np.random.default_rng(n1 + sum(degrees))
+    L1 = matrices(random_connected_graph(rng, n1)).L
+    L2 = matrices(random_connected_graph(rng, n2)).L
+    H = rng.standard_normal((degrees[0] + 1, degrees[1] + 1))
+    f = rng.standard_normal((n1, n2))
+    out = polynomial_filter_vertex(f, PolyKernel2D(H=H), L1, L2)
+    assert same(out, ref_polynomial_filter_vertex(f, H, L1, L2))
+
+
+def test_polynomial_filter_vertex_integer_signal():
+    L1 = matrices(standard_graph("path", 4)).L
+    L2 = matrices(standard_graph("cycle", 5)).L
+    H = np.array([[0.5, 1.0], [1.0, 0.25]])
+    f = np.arange(20).reshape(4, 5)
+    assert same(polynomial_filter_vertex(f, PolyKernel2D(H=H), L1, L2),
+                ref_polynomial_filter_vertex(f, H, L1, L2))
+
+
+DISTRIBUTIONS = ["gaussian", "rademacher"]
+
+
+@pytest.fixture(scope="module")
+def grid():
+    g1, g2 = standard_graph("path", 16), standard_graph("cycle", 16)
+    return matrices(g1).L, matrices(g2).L
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_sample_fgw_matches_the_loop(grid, distribution):
+    L1, L2 = grid
+    H = np.array([[1.0, 0.2, 0.01], [0.3, 0.05, 0.0]])
+    X = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=H)), L1, L2, 11, 3000,
+                   distribution=distribution)
+    Z = WhiteNoise2D(16, 16, 11, distribution).batch(3000)
+    assert same(X, ref_poly_rows(L1, Z, ref_right_stack(H, L2)))
+
+
+def _coefficients(n, k, seed):
+    rng = np.random.default_rng(seed)
+    Hs = np.zeros((n, k, k))
+    Hs[0] = np.eye(k) + 0.3 * rng.standard_normal((k, k))
+    Hs[1] = 0.2 * rng.standard_normal((k, k))
+    Hs[2] = 0.05 * rng.standard_normal((k, k))
+    return Hs
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+@pytest.mark.parametrize("direction", [1, 2])
+def test_sample_directional_matches_the_loops(grid, direction, distribution):
+    L = grid[direction - 1]
+    Hs = _coefficients(16, 4, direction)
+    X = sample_directional(DirectionalProcess(direction=direction, Hs=Hs), L, 21, 3000,
+                           distribution=distribution)
+    if direction == 1:
+        Z = WhiteNoise2D(16, 4, 21, distribution).batch(3000)
+        assert same(X, ref_poly_rows(L, Z, Hs))
+    else:
+        Z = WhiteNoise2D(4, 16, 21, distribution).batch(3000)
+        assert same(X, ref_poly_cols(L, Z, Hs))
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_sample_multivariate_matches_the_loop(grid, distribution):
+    L = grid[0]
+    Hs = _coefficients(16, 3, 8)
+    X = sample_multivariate(Hs, L, 31, 2000, distribution=distribution)
+    Z = WhiteNoise2D(16, 3, 31, distribution).batch(2000)
+    assert same(X, ref_poly_rows(L, Z, Hs))
