@@ -47,11 +47,12 @@ from .spectral import default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
 from .stationarity import (
     DirectionalProcess,
     FgwProcess,
+    _split_reports,
     sample_directional,
     sample_fgw,
     sample_multivariate,
+    spectra_of,
     test_directional_stationarity,
-    test_fgw_stationarity,
 )
 from .transforms import (
     adjacency_gft_2d,
@@ -264,7 +265,11 @@ def _load_coeffs(path: str, kind: str):
     key, what = ("h", "2-D array") if kind == "fgw" else ("hs", "list of square matrices")
     if not isinstance(payload, dict) or key not in payload:
         raise FormatError(f'{kind} coefficients need key "{key}" ({what})')
-    return float_array(payload[key], f'coefficients "{key}"')
+    coeffs = float_array(payload[key], f'coefficients "{key}"')
+    square = coeffs.ndim == 3 and coeffs.shape[1] == coeffs.shape[2]
+    if not (coeffs.ndim <= 2 if kind == "fgw" else square) or not np.isfinite(coeffs).all():
+        raise FormatError(f'coefficients "{key}" must be a finite {what}, got shape {coeffs.shape}')
+    return coeffs
 
 
 def cmd_stationarity(args) -> int:
@@ -306,16 +311,13 @@ def cmd_stationarity(args) -> int:
     if args.mode == "test":
         tol = args.tol
         if args.kind == "fgw":
-            rep = test_fgw_stationarity(batch, b1, b2, tol)
-            extra = [test_directional_stationarity(batch, 1, b1, tol),
-                     test_directional_stationarity(batch, 2, b2, tol)]
-            payload["tests"] = [rep.to_dict()] + [r.to_dict() for r in extra]
-            ok = rep.verdict and all(r.verdict for r in extra)
+            # the fgw test and both directional tests share one spectral covariance
+            reps = _split_reports(spectra_of(batch, b1, b2), tol)
         else:
-            rep = test_directional_stationarity(batch, direction, b1 if direction == 1 else b2, tol)
-            payload["tests"] = [rep.to_dict()]
-            ok = rep.verdict
-        payload["verdict"] = "pass" if ok else "fail"
+            reps = [test_directional_stationarity(batch, direction,
+                                                  b1 if direction == 1 else b2, tol)]
+        payload["tests"] = [r.to_dict() for r in reps]
+        payload["verdict"] = "pass" if all(r.verdict for r in reps) else "fail"
     _json_out(payload, args.report)
     return 0
 

@@ -210,10 +210,12 @@ def default_mc_tol(m: int) -> float:
     return 5.0 / np.sqrt(m)
 
 
-def _as_batch(samples) -> np.ndarray:
+def _as_batch(samples, n1: int | None = None, n2: int | None = None) -> np.ndarray:
+    """A stack of 2-D samples, checked to be n1 x n2 where those are given."""
     batch = np.asarray(samples)
-    if batch.ndim != 3:
-        raise DimensionError(f"expected a stack of 2-D samples, got shape {batch.shape}")
+    if batch.ndim != 3 or (n1 or batch.shape[1], n2 or batch.shape[2]) != batch.shape[1:]:
+        raise DimensionError(f"expected a stack of {n1 or 'any'} x {n2 or 'any'} samples, "
+                             f"got shape {batch.shape}")
     return batch
 
 
@@ -374,12 +376,13 @@ def sample_multivariate(Hs, L: np.ndarray, seed: int, count: int,
 
 def spectra_of(samples, b1: EigenBasis, b2: EigenBasis) -> np.ndarray:
     """2-D spectra of a stack of samples, as one (M, n1, n2) array."""
-    return _analyze(_analyze(_as_batch(samples), b1, 1), b2, 2)
+    return _analyze(_analyze(_as_batch(samples, b1.n, b2.n), b1, 1), b2, 2)
 
 
 def half_spectra_of(samples, basis: EigenBasis, direction: int) -> np.ndarray:
     """Transform each sample along one factor only."""
-    return _analyze(_as_batch(samples), basis, 1 if direction == 1 else 2)
+    sizes = (basis.n, None) if direction == 1 else (None, basis.n)
+    return _analyze(_as_batch(samples, *sizes), basis, 1 if direction == 1 else 2)
 
 
 def estimate_cov(samples) -> CovTensor:
@@ -432,13 +435,6 @@ def test_simdiag(C: np.ndarray, U: np.ndarray, tol: float, name: str = "simdiag"
     return DiagnosticReport(name=name, statistic=stat, threshold=tol, verdict=stat <= tol, m=m)
 
 
-def _offdiag_ratio(c: np.ndarray, mask: np.ndarray) -> float:
-    total = float(np.linalg.norm(c))
-    if total == 0.0:
-        return 0.0
-    return float(np.linalg.norm(c[mask]) / total)
-
-
 def _pooled_slice_simdiag(T: np.ndarray, U: np.ndarray, direction: int) -> float:
     """Pooled off-diagonal energy of all rotated slice covariances.
 
@@ -456,105 +452,94 @@ def _pooled_slice_simdiag(T: np.ndarray, U: np.ndarray, direction: int) -> float
     return float(np.sqrt(np.sum(np.abs(rotated) ** 2) / total_energy))
 
 
-def _check_mc_pre(m: int, tol: float) -> None:
+def _split_reports(spectra: np.ndarray, tol: float | None,
+                   directions: tuple[int, ...] = (1, 2)) -> tuple[DiagnosticReport, ...]:
+    """Reports from one energy split of the covariance C of `spectra`.
+
+    `spectra` are the samples transformed along both factors (`spectra_of`;
+    the fgw report comes first, then one per direction) or along the one
+    tested factor (`half_spectra_of`; one report per direction given). Each
+    statistic is sqrt(E_part / E_total): E_total = sum |C[k, l]|^2, and
+    E_part sums one region of index pairs k = (k1, k2), l = (l1, l2);
+    direction d is the region k_d != l_d. A zero C makes every report a
+    vacuous pass with statistic 0.
+    """
+    m = spectra.shape[0]
+    if tol is None:
+        tol = default_mc_tol(m)
     if m < 2:
         raise SamplingError(f"need at least 2 samples, got {m}")
     if default_mc_tol(m) > tol:
         raise SamplingError(
-            f"insufficient samples: 5/sqrt({m}) = {default_mc_tol(m):.4g} exceeds tol {tol}"
-        )
+            f"insufficient samples: 5/sqrt({m}) = {default_mc_tol(m):.4g} exceeds tol {tol}")
+    energy = np.abs(estimate_cov(spectra).values) ** 2  # (k1, k2, l1, l2)
+    n1, n2 = energy.shape[:2]
+    i1, i2 = np.arange(n1), np.arange(n2)
+    total = float(energy.sum())
+    # disjoint regions, each summed on its own so no energy is a difference
+    same1 = energy[i1, :, i1, :]  # k1 = l1 blocks, a copy
+    same1[:, i2, i2] = 0.0
+    only2 = float(same1.sum())  # k1 = l1, k2 != l2
+    energy[i1, :, i1, :] = 0.0
+    differ1 = float(energy.sum())  # k1 != l1
+    energy[:, i2, :, i2] = 0.0
+    both = float(energy.sum())  # k1 != l1 and k2 != l2
+    differ = {1: differ1, 2: both + only2}
+
+    def report(name, part):
+        stat = float(np.sqrt(part / total)) if total else 0.0
+        return DiagnosticReport(name=name, statistic=stat, threshold=tol, verdict=stat <= tol,
+                                m=m, vacuous=not total)
+
+    def composite(name, parts, extra=()):
+        return DiagnosticReport(name=name, statistic=max(r.statistic for r in parts),
+                                threshold=tol, verdict=all(r.verdict for r in parts), m=m,
+                                vacuous=not total, sub=parts + extra)
+
+    directional = tuple(
+        composite(f"directional_stationarity_g{d}",
+                  (report("condition1_slice_simdiag", differ[d]),
+                   report("condition2_cross_frequency_blocks", differ[d])))
+        for d in directions)
+    if directions != (1, 2):
+        return directional
+    conditions = (
+        report("condition1_slice_simdiag", max(differ.values())),
+        report("condition2_spectral_uncorrelated", differ1 + only2),
+        report("condition3_product_simdiag", differ1 + only2),
+    )
+    agree = len({r.verdict for r in conditions}) == 1
+    fgw = composite("fgw_stationarity" + ("" if agree else " (conditions disagree)"),
+                    conditions, (report("condition2_literal_both_differ", both),))
+    return (fgw,) + directional
 
 
 def test_fgw_stationarity(samples, b1: EigenBasis, b2: EigenBasis,
                           tol: float | None = None) -> DiagnosticReport:
     """Empirical check of the three equivalent factor-graph-wise conditions.
 
-    Condition 1 rotates every vertex-domain slice covariance by its factor
-    basis (pooled off-diagonal energy); condition 2 measures off-diagonal
-    energy of the spectral covariance; condition 3 rotates the flattened
-    vertex covariance by the product basis. A fourth statistic reports the
-    literal reading of condition 2 that only constrains index pairs
-    differing in both coordinates; it does not enter the verdict.
+    All statistics are energy regions of one spectral covariance C (see
+    `_split_reports`). Condition 1 (slice covariances diagonalized per
+    factor) is the larger of the regions k1 != l1 and k2 != l2. Conditions
+    2 (uncorrelated spectrum) and 3 (the product basis diagonalizes the
+    vertex covariance) are both k != l, as C is that covariance rotated by
+    the product basis. The literal reading of condition 2, k1 != l1 and
+    k2 != l2, is reported but not part of the verdict. `tol=None` means
+    5/sqrt(M).
     """
-    batch = _as_batch(samples)
-    m = batch.shape[0]
-    if tol is None:
-        tol = default_mc_tol(m)
-    _check_mc_pre(m, tol)
-
-    T = estimate_cov(batch).values
-    stat1 = max(
-        _pooled_slice_simdiag(T, b1.vectors, direction=1),
-        _pooled_slice_simdiag(T, b2.vectors, direction=2),
-    )
-    cond1 = DiagnosticReport(name="condition1_slice_simdiag", statistic=stat1,
-                             threshold=tol, verdict=stat1 <= tol, m=m)
-
-    spec = estimate_cov(spectra_of(batch, b1, b2))
-    cs = spec.as_matrix()
-    n1, n2 = spec.shape
-    k1 = np.repeat(np.arange(n1), n2)
-    k2 = np.tile(np.arange(n2), n1)
-    full_mask = ~np.eye(len(cs), dtype=bool)
-    stat2 = _offdiag_ratio(cs, full_mask)
-    cond2 = DiagnosticReport(name="condition2_spectral_uncorrelated", statistic=stat2,
-                             threshold=tol, verdict=stat2 <= tol, m=m)
-    strict_mask = (k1[:, None] != k1[None, :]) & (k2[:, None] != k2[None, :])
-    stat2s = _offdiag_ratio(cs, strict_mask)
-    literal = DiagnosticReport(name="condition2_literal_both_differ", statistic=stat2s,
-                               threshold=tol, verdict=stat2s <= tol, m=m)
-
-    cflat = T.reshape(n1 * n2, n1 * n2)
-    cond3 = test_simdiag(cflat, np.kron(b1.vectors, b2.vectors), tol,
-                         name="condition3_product_simdiag", m=m)
-
-    verdicts = [cond1.verdict, cond2.verdict, cond3.verdict]
-    agreement = len(set(verdicts)) == 1
-    worst = max(cond1.statistic, cond2.statistic, cond3.statistic)
-    return DiagnosticReport(
-        name="fgw_stationarity" + ("" if agreement else " (conditions disagree)"),
-        statistic=worst, threshold=tol, verdict=all(verdicts), m=m,
-        sub=(cond1, cond2, cond3, literal),
-    )
+    return _split_reports(spectra_of(samples, b1, b2), tol)[0]
 
 
 def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
                                   tol: float | None = None) -> DiagnosticReport:
     """Empirical check of directional stationarity along one factor.
 
-    Sub-test 1 pools the rotated slice covariances across the stationary
-    direction; sub-test 2 measures the cross-frequency block energy of the
-    half-spectral covariance. The two are equivalent in theory and their
-    verdicts are compared.
+    The statistic is sqrt(E_part / E_total) on the covariance of the spectra
+    along that factor only, E_part being the energy between different
+    frequencies of the factor (see `_split_reports`). Sub-tests 1 (pooled
+    slice covariances rotated by the factor basis) and 2 (cross-frequency
+    blocks) are this one quantity. `tol=None` means 5/sqrt(M).
     """
     if direction not in (1, 2):
         raise SamplingError(f"direction must be 1 or 2, got {direction}")
-    batch = _as_batch(samples)
-    m = batch.shape[0]
-    if tol is None:
-        tol = default_mc_tol(m)
-    _check_mc_pre(m, tol)
-
-    T = estimate_cov(batch).values
-    stat1 = _pooled_slice_simdiag(T, basis.vectors, direction=direction)
-    cond1 = DiagnosticReport(name="condition1_slice_simdiag", statistic=stat1,
-                             threshold=tol, verdict=stat1 <= tol, m=m)
-
-    half = estimate_cov(half_spectra_of(batch, basis, direction))
-    ch = half.as_matrix()
-    n1, n2 = half.shape
-    if direction == 1:
-        freq = np.repeat(np.arange(n1), n2)
-    else:
-        freq = np.tile(np.arange(n2), n1)
-    cross_mask = freq[:, None] != freq[None, :]
-    stat2 = _offdiag_ratio(ch, cross_mask)
-    cond2 = DiagnosticReport(name="condition2_cross_frequency_blocks", statistic=stat2,
-                             threshold=tol, verdict=stat2 <= tol, m=m)
-
-    agreement = cond1.verdict == cond2.verdict
-    return DiagnosticReport(
-        name=f"directional_stationarity_g{direction}" + ("" if agreement else " (conditions disagree)"),
-        statistic=max(stat1, stat2), threshold=tol,
-        verdict=cond1.verdict and cond2.verdict, m=m, sub=(cond1, cond2),
-    )
+    return _split_reports(half_spectra_of(samples, basis, direction), tol, (direction,))[0]

@@ -213,18 +213,26 @@ def test_stationarity_multivariate_kind(workdir, tmp_path):
     ("mv", {"hs": (0.3 * np.arange(12).reshape(3, 2, 2) / 12).tolist()}, 1),
 ])
 def test_stationarity_diagonalizes_each_factor_once(workdir, monkeypatch, kind, coeffs, calls):
+    # every kind also builds exactly one covariance: the fgw test and both
+    # directional tests share one spectral covariance
     import mdgsp.cli as cli
     import mdgsp.stationarity as stationarity
-    from mdgsp import eigenbasis
+    from mdgsp import eigenbasis, estimate_cov
 
     seen = []
+    cov_builds = []
 
     def counting_eigenbasis(m, source):
         seen.append(source)
         return eigenbasis(m, source)
 
+    def counting_estimate_cov(samples):
+        cov_builds.append(np.shape(samples))
+        return estimate_cov(samples)
+
     monkeypatch.setattr(cli, "eigenbasis", counting_eigenbasis)
     monkeypatch.setattr(stationarity, "eigenbasis", counting_eigenbasis)
+    monkeypatch.setattr(stationarity, "estimate_cov", counting_estimate_cov)
     (workdir / "c.json").write_text(json.dumps(coeffs))
     argv = ["stationarity", "--mode", "test", "--kind", kind, "--g1", workdir / "g1.json",
             "--coeffs", workdir / "c.json", "--samples", 2000, "--seed", 5,
@@ -233,6 +241,7 @@ def test_stationarity_diagonalizes_each_factor_once(workdir, monkeypatch, kind, 
         argv += ["--g2", workdir / "g2.json"]
     assert run(*argv) == 0
     assert len(seen) == calls
+    assert len(cov_builds) == 1
     assert np.load(workdir / "x.npy").shape[0] == 2000
 
 
@@ -390,18 +399,35 @@ def test_bench_check_equality_flag(workdir):
     assert rep["equality_discrepancy"] <= 1e-9
 
 
-@pytest.mark.parametrize("name, payload", [
-    ("ragged h", {"h": [[1.0, 0.5], [0.2]]}),
-    ("list payload", ["h"]),
-    ("h of strings", {"h": [["a"]]}),
+@pytest.mark.parametrize("kind, name, payload", [
+    ("fgw", "ragged h", {"h": [[1.0, 0.5], [0.2]]}),
+    ("fgw", "list payload", ["h"]),
+    ("fgw", "h of strings", {"h": [["a"]]}),
+    ("dir1", "scalar hs", {"hs": 5}),
+    ("mv", "scalar hs", {"hs": 5}),
+    ("dir1", "2-D hs", {"hs": [[1.0]]}),
+    ("dir2", "non-square hs", {"hs": [[[1.0, 2.0]], [[0.0, 1.0]], [[1.0, 1.0]]]}),
+    ("dir1", "hs with nan", {"hs": [[[float("nan")]], [[1.0]], [[0.0]]]}),
+    ("fgw", "null h", {"h": None}),
+    ("fgw", "3-D h", {"h": [[[1.0]]]}),
+    ("fgw", "h with inf", {"h": [[1.0, float("inf")]]}),
 ])
-def test_malformed_coefficients_exit_3(workdir, capsys, name, payload):
+def test_malformed_coefficients_exit_3(workdir, capsys, kind, name, payload):
     (workdir / "c.json").write_text(json.dumps(payload))
-    assert run("stationarity", "--mode", "synthesize", "--kind", "fgw",
+    assert run("stationarity", "--mode", "synthesize", "--kind", kind,
                "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
                "--coeffs", workdir / "c.json", "--samples", 10,
                "--report", workdir / "r.json") == 3
     assert capsys.readouterr().err.startswith("mdgsp: error[format]: ")
+
+
+@pytest.mark.parametrize("h", [1.0, [1.0, 0.5]])
+def test_scalar_and_vector_h_are_accepted(workdir, h):
+    (workdir / "c.json").write_text(json.dumps({"h": h}))
+    assert run("stationarity", "--mode", "synthesize", "--kind", "fgw",
+               "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--coeffs", workdir / "c.json", "--samples", 10,
+               "--report", workdir / "r.json") == 0
 
 
 def test_ragged_directional_coefficients_exit_3(workdir):

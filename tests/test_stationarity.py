@@ -11,7 +11,9 @@ from helpers import laplacian_basis
 
 import mdgsp.stationarity as stationarity
 from mdgsp import (
+    DimensionError,
     DirectionalProcess,
+    EigenBasis,
     FgwProcess,
     PolyKernel2D,
     SamplingError,
@@ -460,6 +462,102 @@ def test_pooled_slice_statistic_matches_slice_loop(seed, direction):
             assert got == pytest.approx(want, rel=1e-12)
     assert stationarity._pooled_slice_simdiag(np.zeros((n1, n2, n1, n2)), bases[0],
                                               direction) == 0.0
+
+
+# ---------------------------------------------------------------- one energy split
+
+
+def unitary_basis(rng, n):
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return EigenBasis(values=np.arange(n, dtype=np.float64), vectors=q, source="laplacian")
+
+
+def masked_ratio(C, mask):
+    return float(np.sqrt(np.sum(np.abs(C[mask]) ** 2) / np.sum(np.abs(C) ** 2)))
+
+
+@pytest.mark.parametrize("n1, n2, m", [(3, 4, 2000), (16, 16, 1500), (32, 32, 400)])
+@pytest.mark.parametrize("bases", ["laplacian", "unitary"])
+@pytest.mark.parametrize("batch_kind", ["stationary", "zeroed_row"])
+def test_split_statistics_equal_reference_routes(n1, n2, m, bases, batch_kind):
+    # every statistic of the single spectral covariance equals its own
+    # reference route: pooled slices and the product-basis rotation of the
+    # vertex covariance, and masked ratios of the (half-)spectral covariances
+    g1, g2 = standard_graph("path", n1), standard_graph("cycle", n2)
+    L1, L2 = matrices(g1).L, matrices(g2).L
+    if batch_kind == "stationary":
+        proc = FgwProcess(kernel=PolyKernel2D(H=[[1.0, 0.2], [0.3, 0.1]]))
+        batch = sample_fgw(proc, L1, L2, seed=n1 + n2, count=m)
+    else:
+        batch = WhiteNoise2D(n1, n2, seed=n1 + n2).batch(m)
+        batch[:, 0, :] = 0.0
+    if bases == "laplacian":
+        b1, b2 = laplacian_basis(g1), laplacian_basis(g2)
+    else:  # complex spectra: |C|^2 and C^2 differ
+        rng = np.random.default_rng(n1 * n2)
+        b1, b2 = unitary_basis(rng, n1), unitary_basis(rng, n2)
+    U1, U2 = b1.vectors, b2.vectors
+    T = estimate_cov(batch).values
+    n = n1 * n2
+
+    fgw = fgw_report(batch, b1, b2)
+    assert [r.name for r in fgw.sub] == ["condition1_slice_simdiag",
+                                         "condition2_spectral_uncorrelated",
+                                         "condition3_product_simdiag",
+                                         "condition2_literal_both_differ"]
+    C = estimate_cov(spectra_of(batch, b1, b2)).as_matrix()
+    k1, k2 = np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1)
+    want = [
+        max(stationarity._pooled_slice_simdiag(T, U1, 1),
+            stationarity._pooled_slice_simdiag(T, U2, 2)),
+        masked_ratio(C, ~np.eye(n, dtype=bool)),
+        simdiag_report(T.reshape(n, n), np.kron(U1, U2), tol=1.0).statistic,
+        masked_ratio(C, (k1[:, None] != k1[None, :]) & (k2[:, None] != k2[None, :])),
+    ]
+    for got, ref in zip(fgw.sub, want):
+        assert got.statistic == pytest.approx(ref, rel=1e-12)
+
+    # the command line takes both directional reports from the fgw split
+    _, *from_split = stationarity._split_reports(spectra_of(batch, b1, b2), None)
+    for d, basis, freq in ((1, b1, k1), (2, b2, k2)):
+        rep = directional_report(batch, d, basis)
+        assert [r.name for r in rep.sub] == ["condition1_slice_simdiag",
+                                             "condition2_cross_frequency_blocks"]
+        half = estimate_cov(half_spectra_of(batch, basis, d)).as_matrix()
+        want = [stationarity._pooled_slice_simdiag(T, basis.vectors, d),
+                masked_ratio(half, freq[:, None] != freq[None, :])]
+        for got, ref in zip(rep.sub, want):
+            assert got.statistic == pytest.approx(ref, rel=1e-12)
+        split = from_split[d - 1]
+        assert split.name == rep.name and split.verdict == rep.verdict
+        assert split.statistic == pytest.approx(rep.statistic, rel=1e-12)
+
+
+def test_fgw_basis_batch_mismatch_is_dimension_error(p3p4):
+    _, _, b1, b2 = p3p4
+    batch = WhiteNoise2D(3, 4, seed=1).batch(50)
+    with pytest.raises(DimensionError):
+        fgw_report(batch, b2, b1, tol=1.0)
+
+
+def test_directional_basis_batch_mismatch_is_dimension_error(p3p4):
+    _, _, b1, _ = p3p4
+    batch = WhiteNoise2D(3, 4, seed=1).batch(50)
+    with pytest.raises(DimensionError):
+        directional_report(batch, 2, b1, tol=1.0)
+
+
+@pytest.mark.parametrize("direction", [None, 2])
+def test_zero_batch_is_vacuous_in_every_report(p3p4, direction):
+    _, _, b1, b2 = p3p4
+    zeros = np.zeros((50, 3, 4))
+    if direction is None:
+        rep = fgw_report(zeros, b1, b2, tol=1.0)
+    else:
+        rep = directional_report(zeros, direction, b2, tol=1.0)
+    for r in (rep,) + rep.sub:
+        assert r.vacuous and r.statistic == 0.0 and r.verdict
+        assert r.to_dict()["vacuous"] is True
 
 
 # ---------------------------------------------------------------- precomputed bases
