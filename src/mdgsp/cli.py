@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +48,13 @@ from .spectral import default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
 from .stationarity import (
     DirectionalProcess,
     FgwProcess,
+    _CovAccumulator,
+    _directional_chunks,
+    _fgw_chunks,
+    _mc_tol,
     _split_reports,
-    sample_directional,
-    sample_fgw,
-    sample_multivariate,
+    half_spectra_of,
     spectra_of,
-    test_directional_stationarity,
 )
 from .transforms import (
     adjacency_gft_2d,
@@ -272,6 +274,33 @@ def _load_coeffs(path: str, kind: str):
     return coeffs
 
 
+@contextmanager
+def _npy_rows(path: str | None, shape: tuple[int, ...]):
+    """Write a float64 `.npy` of `shape` one chunk of rows at a time.
+
+    Yields the function that appends a chunk. The bytes are those of
+    `np.save` of the whole array, and like `np.save` a path without the
+    `.npy` suffix gets it. The file is written under a temporary sibling
+    name and renamed into place only when the block completes, so a failed
+    run leaves no file. With no path the chunks are dropped.
+    """
+    if not path:
+        yield lambda rows: None
+        return
+    target = Path(path if path.endswith(".npy") else path + ".npy")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.lib.format.write_array_header_1_0(
+                f, {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                    "fortran_order": False, "shape": shape})
+            yield lambda rows: rows.tofile(f)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_stationarity(args) -> int:
     L1 = matrices(load_graph(args.g1)).L
     b1 = eigenbasis(L1, "laplacian")
@@ -283,42 +312,48 @@ def cmd_stationarity(args) -> int:
             raise FormatError(f"{what} stationarity needs --g2")
         L2 = matrices(load_graph(args.g2)).L
         b2 = eigenbasis(L2, "laplacian")
-    direction = 2 if args.kind == "dir2" else 1  # mv is direction-1 sampling
 
+    # the same chunks feed the sample dump and the covariance of the test
     if args.kind == "fgw":
-        batch = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2,
-                           args.seed, args.samples, distribution=args.distribution,
-                           b1=b1, b2=b2)
-    elif args.kind in ("dir1", "dir2"):
-        proc = DirectionalProcess(direction=direction, Hs=coeffs)
-        batch = sample_directional(proc, L1 if direction == 1 else L2,
-                                   args.seed, args.samples, distribution=args.distribution,
-                                   basis=b1 if direction == 1 else b2)
-    else:  # mv
-        batch = sample_multivariate(coeffs, L1, args.seed, args.samples,
-                                    distribution=args.distribution, basis=b1)
+        chunks = _fgw_chunks(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2, args.seed,
+                             args.samples, distribution=args.distribution, b1=b1, b2=b2)
+        directions = (1, 2)  # the fgw test and both directional tests share one covariance
 
+        def spectra(X):
+            return spectra_of(X, b1, b2)
+    else:
+        direction = 2 if args.kind == "dir2" else 1  # mv is direction-1 sampling
+        L, basis = (L1, b1) if direction == 1 else (L2, b2)
+        chunks = _directional_chunks(DirectionalProcess(direction=direction, Hs=coeffs), L,
+                                     args.seed, args.samples, distribution=args.distribution,
+                                     basis=basis)
+        directions = (direction,)
+
+        def spectra(X):
+            return half_spectra_of(X, basis, direction)
+
+    testing = args.mode == "test"
+    if testing:
+        _mc_tol(args.samples, args.tol)  # a test the sample count cannot pass fails now
+        acc = _CovAccumulator()
     payload: dict = {
         "kind": args.kind,
         "samples": args.samples,
         "seed": args.seed,
-        "shape": list(batch.shape[1:]),
+        "shape": list(chunks.shape[1:]),
     }
-    if args.out:
-        np.save(args.out, batch)
-        payload["out"] = args.out
-
-    if args.mode == "test":
-        tol = args.tol
-        if args.kind == "fgw":
-            # the fgw test and both directional tests share one spectral covariance
-            reps = _split_reports(spectra_of(batch, b1, b2), tol)
-        else:
-            reps = [test_directional_stationarity(batch, direction,
-                                                  b1 if direction == 1 else b2, tol)]
-        payload["tests"] = [r.to_dict() for r in reps]
-        payload["verdict"] = "pass" if all(r.verdict for r in reps) else "fail"
-    _json_out(payload, args.report)
+    with _npy_rows(args.out, chunks.shape) as write:
+        for X in chunks:
+            write(X)
+            if testing:
+                acc.add(spectra(X))
+        if args.out:
+            payload["out"] = args.out
+        if testing:
+            reps = _split_reports(acc.covariance(), args.tol, directions)
+            payload["tests"] = [r.to_dict() for r in reps]
+            payload["verdict"] = "pass" if all(r.verdict for r in reps) else "fail"
+        _json_out(payload, args.report)
     return 0
 
 

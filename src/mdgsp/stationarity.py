@@ -7,13 +7,19 @@ matrix coefficients on the other index), and multivariate processes, which
 are directional processes on the product with an edgeless graph.
 
 Every sampler evaluates both its vertex-domain definition and its spectral
-form and verifies they agree per sample, so the simulated covariances the
-diagnostic tests consume are backed by two independent code paths: the
+form and verifies they agree on every sample, so the simulated covariances
+the diagnostic tests consume are backed by two independent code paths: the
 polynomial core `filtering._poly_apply` and the basis core `transforms._analyze`.
+
+Samples are drawn, filtered and checked in chunks of about `_CHUNK_VALUES`
+values, and the tests accumulate their covariance chunk by chunk, so a
+caller that consumes the chunks (the command line) holds O(chunk N + N^2)
+memory whatever the sample count M is (N = n1 n2).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +32,7 @@ from .transforms import _analyze, _synthesize
 PATH_AGREE_TOL = 1e-9
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of float 1.0
 _CHUNK_WORDS = 1 << 14
+_CHUNK_VALUES = 1 << 18  # values per chunk of samples: 1024 samples at 16x16
 
 
 @dataclass(frozen=True)
@@ -147,8 +154,7 @@ class DirectionalProcess:
         Hs = np.asarray(self.Hs, dtype=np.float64)
         if Hs.ndim != 3 or Hs.shape[1] != Hs.shape[2]:
             raise SamplingError(f"coefficient stack must be (count, k, k), got {Hs.shape}")
-        if self.direction not in (1, 2):
-            raise SamplingError(f"direction must be 1 or 2, got {self.direction}")
+        _check_direction(self.direction)
         object.__setattr__(self, "Hs", Hs)
 
     def half_gains(self, basis: EigenBasis) -> np.ndarray:
@@ -219,11 +225,97 @@ def _as_batch(samples, n1: int | None = None, n2: int | None = None) -> np.ndarr
     return batch
 
 
-def _check_paths(vertex: np.ndarray, spectral: np.ndarray, what: str) -> None:
-    scale = max(1.0, float(np.abs(vertex).max(initial=0.0)))
-    err = float(np.abs(vertex - spectral).max())
-    if err > PATH_AGREE_TOL * scale:
-        raise SamplingError(f"{what}: vertex and spectral paths disagree by {err:g}")
+def _check_direction(direction: int) -> None:
+    if direction not in (1, 2):
+        raise SamplingError(f"direction must be 1 or 2, got {direction}")
+
+
+def _chunk_rows(n: int) -> int:
+    """Samples of n values each in one chunk."""
+    return max(1, _CHUNK_VALUES // n)
+
+
+def _row_chunks(batch: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive views of a (M, n1, n2) batch, one chunk of samples each."""
+    rows = _chunk_rows(batch.shape[1] * batch.shape[2])
+    return (batch[first:first + rows] for first in range(0, len(batch), rows))
+
+
+@dataclass(frozen=True)
+class _SampleChunks:
+    """The `count` samples of one sampler, produced one chunk at a time.
+
+    Iterating draws each chunk of noise Z with `noise._draw`, so the chunks
+    are the rows of the whole batch bit for bit, and yields `vertex(Z)`.
+    With `spectral` given, `spectral(Z)` must agree with it to
+    PATH_AGREE_TOL times the largest sample magnitude (at least 1) of the
+    whole batch: the running maxima of the error and of that scale are
+    compared after the last chunk, which is when the iteration raises.
+    """
+
+    noise: WhiteNoise2D
+    count: int
+    vertex: Callable[[np.ndarray], np.ndarray]
+    spectral: Callable[[np.ndarray], np.ndarray] | None
+    what: str
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise SamplingError("sample count must be positive")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.count, self.noise.n1, self.noise.n2)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        rows = _chunk_rows(self.noise.n1 * self.noise.n2)
+        err, scale = 0.0, 1.0
+        for first in range(0, self.count, rows):
+            Z = self.noise._draw(first, min(rows, self.count - first))
+            X = self.vertex(Z)
+            if self.spectral is not None:
+                scale = max(scale, float(np.abs(X).max()))
+                err = max(err, float(np.abs(X - self.spectral(Z)).max()))
+            yield X
+        if err > PATH_AGREE_TOL * scale:
+            raise SamplingError(f"{self.what}: vertex and spectral paths disagree by {err:g}")
+
+    def array(self) -> np.ndarray:
+        out = np.empty(self.shape)
+        first = 0
+        for X in self:
+            out[first:first + len(X)] = X
+            first += len(X)
+        return out
+
+
+def _fgw_chunks(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, count: int,
+                distribution: str = "gaussian", check: bool = True,
+                b1: EigenBasis | None = None, b2: EigenBasis | None = None) -> _SampleChunks:
+    """`sample_fgw`'s samples in chunks; its arguments are checked here, before any draw."""
+    L1 = np.asarray(L1, dtype=np.float64)
+    L2 = np.asarray(L2, dtype=np.float64)
+    n1, n2 = L1.shape[0], L2.shape[0]
+    H = proc.kernel.H
+    if H.shape[0] > n1 or H.shape[1] > n2:
+        raise SamplingError(
+            f"kernel degrees {proc.kernel.degrees} exceed factor sizes ({n1 - 1}, {n2 - 1})"
+        )
+    noise = WhiteNoise2D(n1, n2, seed, distribution)
+    R = _right_stack(H, L2)
+    spectral = None
+    if check:
+        if b1 is None:
+            b1 = eigenbasis(L1, "laplacian")
+        if b2 is None:
+            b2 = eigenbasis(L2, "laplacian")
+        gains = proc.gains(b1, b2)
+
+        def spectral(Z):
+            return _synthesize(_synthesize(gains * spectra_of(Z, b1, b2), b1, 1), b2, 2)
+
+    return _SampleChunks(noise, count, lambda Z: _poly_apply(L1, Z, R, axis=0), spectral,
+                         "factor-graph-wise sampler")
 
 
 def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, count: int,
@@ -237,26 +329,7 @@ def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, coun
     sizes. `b1`/`b2` are the Laplacian eigenbases of L1 and L2, if already
     computed; only that check uses them.
     """
-    L1 = np.asarray(L1, dtype=np.float64)
-    L2 = np.asarray(L2, dtype=np.float64)
-    n1, n2 = L1.shape[0], L2.shape[0]
-    H = proc.kernel.H
-    if H.shape[0] > n1 or H.shape[1] > n2:
-        raise SamplingError(
-            f"kernel degrees {proc.kernel.degrees} exceed factor sizes ({n1 - 1}, {n2 - 1})"
-        )
-    Z = WhiteNoise2D(n1, n2, seed, distribution).batch(count)
-    X = _poly_apply(L1, Z, _right_stack(H, L2), axis=0)
-
-    if check:
-        if b1 is None:
-            b1 = eigenbasis(L1, "laplacian")
-        if b2 is None:
-            b2 = eigenbasis(L2, "laplacian")
-        Xhat = proc.gains(b1, b2) * spectra_of(Z, b1, b2)
-        X2 = _synthesize(_synthesize(Xhat, b1, 1), b2, 2)
-        _check_paths(X, X2, "factor-graph-wise sampler")
-    return X
+    return _fgw_chunks(proc, L1, L2, seed, count, distribution, check, b1, b2).array()
 
 
 def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis,
@@ -289,6 +362,37 @@ def _require_distinct(values: np.ndarray, tol: float | None, what: str) -> None:
         raise SamplingError(f"{what} spectrum has repeated eigenvalues (min gap {gaps.min():g})")
 
 
+def _directional_chunks(proc: DirectionalProcess, L: np.ndarray, seed: int, count: int,
+                        n_other: int | None = None, distribution: str = "gaussian",
+                        check: bool = True, basis: EigenBasis | None = None) -> _SampleChunks:
+    """`sample_directional`'s samples in chunks; its arguments are checked here."""
+    L = np.asarray(L, dtype=np.float64)
+    n = L.shape[0]
+    Hs = proc.Hs
+    if Hs.shape[0] != n:
+        raise SamplingError(f"need exactly {n} coefficient matrices, got {Hs.shape[0]}")
+    k = Hs.shape[1]
+    if n_other is not None and n_other != k:
+        raise DimensionError(f"coefficient matrices are {k} x {k}, expected {n_other}")
+
+    d = proc.direction
+    noise = WhiteNoise2D(*((n, k) if d == 1 else (k, n)), seed, distribution)
+    spectral = None
+    if check:
+        if basis is None:
+            basis = eigenbasis(L, "laplacian")
+        # Xt[:, k] = Zt[:, k] @ Htilde_k (direction 1) or Htilde_k @ Zt[:, :, k] (direction 2)
+        subscripts = "mki,kij->mkj" if d == 1 else "mjk,kij->mik"
+        gains = proc.half_gains(basis)
+
+        def spectral(Z):
+            Xt = np.einsum(subscripts, half_spectra_of(Z, basis, d), gains)
+            return _synthesize(Xt, basis, d)
+
+    return _SampleChunks(noise, count, lambda Z: _poly_apply(L, Z, Hs, axis=d - 1), spectral,
+                         "directional sampler")
+
+
 def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count: int,
                        n_other: int | None = None, distribution: str = "gaussian",
                        check: bool = True, basis: EigenBasis | None = None) -> np.ndarray:
@@ -300,27 +404,8 @@ def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count
     only) is evaluated as well and must match per sample; `basis` is the
     eigenbasis of `L`, if already computed, and only that check uses it.
     """
-    L = np.asarray(L, dtype=np.float64)
-    n = L.shape[0]
-    Hs = proc.Hs
-    if Hs.shape[0] != n:
-        raise SamplingError(f"need exactly {n} coefficient matrices, got {Hs.shape[0]}")
-    k = Hs.shape[1]
-    if n_other is not None and n_other != k:
-        raise DimensionError(f"coefficient matrices are {k} x {k}, expected {n_other}")
-
-    shape = (n, k) if proc.direction == 1 else (k, n)
-    Z = WhiteNoise2D(*shape, seed, distribution).batch(count)
-    X = _poly_apply(L, Z, Hs, axis=proc.direction - 1)
-
-    if check:
-        if basis is None:
-            basis = eigenbasis(L, "laplacian")
-        # Xt[:, k] = Zt[:, k] @ Htilde_k (direction 1) or Htilde_k @ Zt[:, :, k] (direction 2)
-        subscripts = "mki,kij->mkj" if proc.direction == 1 else "mjk,kij->mik"
-        Xt = np.einsum(subscripts, half_spectra_of(Z, basis, proc.direction), proc.half_gains(basis))
-        _check_paths(X, _synthesize(Xt, basis, proc.direction), "directional sampler")
-    return X
+    return _directional_chunks(proc, L, seed, count, n_other, distribution, check,
+                               basis).array()
 
 
 def construct_directional_from_gamma(Gammas, basis: EigenBasis, direction: int = 1,
@@ -380,9 +465,52 @@ def spectra_of(samples, b1: EigenBasis, b2: EigenBasis) -> np.ndarray:
 
 
 def half_spectra_of(samples, basis: EigenBasis, direction: int) -> np.ndarray:
-    """Transform each sample along one factor only."""
+    """Transform each sample along one factor only (direction 1 or 2)."""
+    _check_direction(direction)
     sizes = (basis.n, None) if direction == 1 else (None, basis.n)
     return _analyze(_as_batch(samples, *sizes), basis, 1 if direction == 1 else 2)
+
+
+class _CovAccumulator:
+    """Mean-subtracted covariance of 2-D samples that arrive in chunks.
+
+    With K the mean of the first chunk and d = x - K per sample, it keeps
+    the count M, s = sum d and G = sum d d^H (entry [k, l] = sum d_k
+    conj(d_l)), so memory is O(N^2) whatever M is. The covariance is
+    (G - s s^H / M) / (M - 1); the shift keeps s small, so the correction
+    loses nothing to cancellation.
+    """
+
+    def __init__(self):
+        self.m = 0
+
+    def add(self, chunk: np.ndarray) -> None:
+        flat = chunk.reshape(len(chunk), -1)
+        if self.m == 0:
+            self.shape = chunk.shape[1:]
+            self.shift = flat.mean(axis=0)
+        d = flat - self.shift
+        s, G = d.sum(axis=0), d.T @ d.conj()
+        if self.m:
+            self.s += s
+            self.G += G
+        else:
+            self.s, self.G = s, G
+        self.m += len(d)
+
+    def covariance(self) -> CovTensor:
+        m = self.m
+        if m < 2:
+            raise SamplingError(f"need at least 2 samples, got {m}")
+        cov = (self.G - np.outer(self.s, self.s.conj()) / m) / (m - 1)
+        return CovTensor(values=cov.reshape(self.shape * 2), m=m)
+
+
+def _cov_of_chunks(chunks: Iterable[np.ndarray]) -> CovTensor:
+    acc = _CovAccumulator()
+    for chunk in chunks:
+        acc.add(chunk)
+    return acc.covariance()
 
 
 def estimate_cov(samples) -> CovTensor:
@@ -391,15 +519,7 @@ def estimate_cov(samples) -> CovTensor:
     Entry [k1, k2, l1, l2] is Cov(x[k1, k2], x[l1, l2]) over the sample
     set; Hermitian symmetry holds by construction.
     """
-    batch = _as_batch(samples)
-    m = batch.shape[0]
-    if m < 2:
-        raise SamplingError(f"need at least 2 samples, got {m}")
-    n1, n2 = batch.shape[1], batch.shape[2]
-    flat = batch.reshape(m, n1 * n2)
-    centered = flat - flat.mean(axis=0)
-    cov = centered.T @ centered.conj() / (m - 1)
-    return CovTensor(values=cov.reshape(n1, n2, n1, n2), m=m)
+    return _cov_of_chunks(_row_chunks(_as_batch(samples)))
 
 
 def max_offdiag_correlation(cov: CovTensor) -> float:
@@ -452,27 +572,37 @@ def _pooled_slice_simdiag(T: np.ndarray, U: np.ndarray, direction: int) -> float
     return float(np.sqrt(np.sum(np.abs(rotated) ** 2) / total_energy))
 
 
-def _split_reports(spectra: np.ndarray, tol: float | None,
-                   directions: tuple[int, ...] = (1, 2)) -> tuple[DiagnosticReport, ...]:
-    """Reports from one energy split of the covariance C of `spectra`.
+def _mc_tol(m: int, tol: float | None) -> float:
+    """The threshold a test of M samples uses: `tol`, or 5/sqrt(M) for None.
 
-    `spectra` are the samples transformed along both factors (`spectra_of`;
-    the fgw report comes first, then one per direction) or along the one
-    tested factor (`half_spectra_of`; one report per direction given). Each
-    statistic is sqrt(E_part / E_total): E_total = sum |C[k, l]|^2, and
-    E_part sums one region of index pairs k = (k1, k2), l = (l1, l2);
-    direction d is the region k_d != l_d. A zero C makes every report a
-    vacuous pass with statistic 0.
+    Raises when M < 2 or when 5/sqrt(M) exceeds `tol`, which M samples
+    cannot resolve; both are known before any sample is drawn.
     """
-    m = spectra.shape[0]
-    if tol is None:
-        tol = default_mc_tol(m)
     if m < 2:
         raise SamplingError(f"need at least 2 samples, got {m}")
+    if tol is None:
+        return default_mc_tol(m)
     if default_mc_tol(m) > tol:
         raise SamplingError(
             f"insufficient samples: 5/sqrt({m}) = {default_mc_tol(m):.4g} exceeds tol {tol}")
-    energy = np.abs(estimate_cov(spectra).values) ** 2  # (k1, k2, l1, l2)
+    return tol
+
+
+def _split_reports(cov: CovTensor, tol: float | None,
+                   directions: tuple[int, ...] = (1, 2)) -> tuple[DiagnosticReport, ...]:
+    """Reports from one energy split of a spectral covariance C of M = `cov.m` samples.
+
+    C is the covariance of the samples transformed along both factors
+    (`spectra_of`; the fgw report comes first, then one per direction) or
+    along the one tested factor (`half_spectra_of`; one report per
+    direction given). Each statistic is sqrt(E_part / E_total): E_total =
+    sum |C[k, l]|^2, and E_part sums one region of index pairs
+    k = (k1, k2), l = (l1, l2); direction d is the region k_d != l_d. A
+    zero C makes every report a vacuous pass with statistic 0.
+    """
+    m = cov.m
+    tol = _mc_tol(m, tol)
+    energy = np.abs(cov.values) ** 2  # (k1, k2, l1, l2)
     n1, n2 = energy.shape[:2]
     i1, i2 = np.arange(n1), np.arange(n2)
     total = float(energy.sum())
@@ -527,7 +657,9 @@ def test_fgw_stationarity(samples, b1: EigenBasis, b2: EigenBasis,
     k2 != l2, is reported but not part of the verdict. `tol=None` means
     5/sqrt(M).
     """
-    return _split_reports(spectra_of(samples, b1, b2), tol)[0]
+    batch = _as_batch(samples, b1.n, b2.n)
+    return _split_reports(_cov_of_chunks(spectra_of(c, b1, b2) for c in _row_chunks(batch)),
+                          tol)[0]
 
 
 def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
@@ -540,6 +672,6 @@ def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
     slice covariances rotated by the factor basis) and 2 (cross-frequency
     blocks) are this one quantity. `tol=None` means 5/sqrt(M).
     """
-    if direction not in (1, 2):
-        raise SamplingError(f"direction must be 1 or 2, got {direction}")
-    return _split_reports(half_spectra_of(samples, basis, direction), tol, (direction,))[0]
+    _check_direction(direction)
+    chunks = (half_spectra_of(c, basis, direction) for c in _row_chunks(_as_batch(samples)))
+    return _split_reports(_cov_of_chunks(chunks), tol, (direction,))[0]

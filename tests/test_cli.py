@@ -214,25 +214,26 @@ def test_stationarity_multivariate_kind(workdir, tmp_path):
 ])
 def test_stationarity_diagonalizes_each_factor_once(workdir, monkeypatch, kind, coeffs, calls):
     # every kind also builds exactly one covariance: the fgw test and both
-    # directional tests share one spectral covariance
+    # directional tests share one spectral covariance, accumulated over chunks
     import mdgsp.cli as cli
     import mdgsp.stationarity as stationarity
-    from mdgsp import eigenbasis, estimate_cov
+    from mdgsp import eigenbasis
 
     seen = []
     cov_builds = []
+    covariance = stationarity._CovAccumulator.covariance
 
     def counting_eigenbasis(m, source):
         seen.append(source)
         return eigenbasis(m, source)
 
-    def counting_estimate_cov(samples):
-        cov_builds.append(np.shape(samples))
-        return estimate_cov(samples)
+    def counting_covariance(acc):
+        cov_builds.append(acc.m)
+        return covariance(acc)
 
     monkeypatch.setattr(cli, "eigenbasis", counting_eigenbasis)
     monkeypatch.setattr(stationarity, "eigenbasis", counting_eigenbasis)
-    monkeypatch.setattr(stationarity, "estimate_cov", counting_estimate_cov)
+    monkeypatch.setattr(stationarity._CovAccumulator, "covariance", counting_covariance)
     (workdir / "c.json").write_text(json.dumps(coeffs))
     argv = ["stationarity", "--mode", "test", "--kind", kind, "--g1", workdir / "g1.json",
             "--coeffs", workdir / "c.json", "--samples", 2000, "--seed", 5,
@@ -241,8 +242,106 @@ def test_stationarity_diagonalizes_each_factor_once(workdir, monkeypatch, kind, 
         argv += ["--g2", workdir / "g2.json"]
     assert run(*argv) == 0
     assert len(seen) == calls
-    assert len(cov_builds) == 1
+    assert cov_builds == [2000]
     assert np.load(workdir / "x.npy").shape[0] == 2000
+
+
+STREAM_COEFFS = {
+    "fgw": {"h": [[1.0, 0.2], [0.1, 0.0]]},
+    "dir1": {"hs": (0.3 * np.arange(48).reshape(3, 4, 4) / 48).tolist()},
+    "dir2": {"hs": (0.3 * np.arange(36).reshape(4, 3, 3) / 36).tolist()},
+    "mv": {"hs": (0.3 * np.arange(12).reshape(3, 2, 2) / 12).tolist()},
+}
+
+
+def stationarity_argv(workdir, kind, samples, *extra):
+    (workdir / "c.json").write_text(json.dumps(STREAM_COEFFS[kind]))
+    argv = ["stationarity", "--kind", kind, "--g1", workdir / "g1.json",
+            "--coeffs", workdir / "c.json", "--samples", samples, "--seed", 4,
+            "--report", workdir / "r.json", *extra]
+    return argv + (["--g2", workdir / "g2.json"] if kind != "mv" else [])
+
+
+@pytest.mark.parametrize("suffix", [".npy", ""])
+@pytest.mark.parametrize("kind", ["fgw", "dir1", "dir2", "mv"])
+def test_streamed_sample_dump_equals_np_save(workdir, monkeypatch, kind, suffix):
+    # chunks of 7 samples: 50 samples end in a partial chunk
+    import mdgsp.stationarity as stationarity
+    from mdgsp import DirectionalProcess, FgwProcess, PolyKernel2D
+    from mdgsp import sample_directional, sample_fgw, sample_multivariate
+
+    monkeypatch.setattr(stationarity, "_CHUNK_VALUES", 7 * 12)
+    out = workdir / f"x{suffix}"
+    assert run(*stationarity_argv(workdir, kind, 50, "--mode", "test", "--out", out)) == 0
+    L1, L2 = (matrices(load_graph(workdir / g)).L for g in ("g1.json", "g2.json"))
+    coeffs = np.array(next(iter(STREAM_COEFFS[kind].values())))
+    if kind == "fgw":
+        batch = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2, 4, 50)
+    elif kind == "mv":
+        batch = sample_multivariate(coeffs, L1, 4, 50)
+    else:
+        d = int(kind[-1])
+        batch = sample_directional(DirectionalProcess(d, coeffs), L1 if d == 1 else L2, 4, 50)
+    np.save(workdir / "ref.npy", batch)
+    assert (workdir / "x.npy").read_bytes() == (workdir / "ref.npy").read_bytes()
+    assert json.loads((workdir / "r.json").read_text())["out"] == str(out)
+    assert sorted(p.name for p in workdir.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("samples, message", [(100, "insufficient samples"),
+                                              (1, "need at least 2 samples")])
+def test_doomed_test_fails_before_sampling(workdir, monkeypatch, capsys, samples, message):
+    from mdgsp import WhiteNoise2D
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples for a test that cannot pass")
+
+    monkeypatch.setattr(WhiteNoise2D, "_draw", refuse)
+    out = workdir / "y.npy"
+    assert run(*stationarity_argv(workdir, "fgw", samples, "--mode", "test", "--tol", 0.01,
+                                  "--out", out)) == 7
+    assert message in capsys.readouterr().err
+    assert not out.exists() and list(workdir.glob("*.tmp")) == []
+
+
+def test_failed_path_check_leaves_no_sample_dump(workdir, monkeypatch, capsys):
+    # a basis that does not belong to the Laplacian fails the path check,
+    # which is judged after the last chunk has been written
+    import mdgsp.cli as cli
+    from mdgsp import eigenbasis
+
+    def wrong_basis(m, source):
+        b = eigenbasis(m, source)
+        return type(b)(values=b.values, vectors=b.vectors[:, ::-1].copy(), source=b.source)
+
+    monkeypatch.setattr(cli, "eigenbasis", wrong_basis)
+    out = workdir / "y.npy"
+    assert run(*stationarity_argv(workdir, "fgw", 30, "--mode", "synthesize",
+                                  "--out", out)) == 7
+    assert "disagree" in capsys.readouterr().err
+    assert list(workdir.glob("y.npy*")) == [] and list(workdir.glob("*.tmp")) == []
+
+
+def test_stationarity_memory_does_not_grow_with_samples(tmp_path):
+    import tracemalloc
+
+    save_graph(standard_graph("path", 16), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", 16), tmp_path / "g2.json")
+    (tmp_path / "c.json").write_text(json.dumps({"h": [[1.0, 0.2], [0.1, 0.05]]}))
+    for samples in (20_000, 60_000):
+        out = tmp_path / "x.npy"
+        tracemalloc.start()
+        try:
+            assert run("stationarity", "--mode", "test", "--kind", "fgw",
+                       "--g1", tmp_path / "g1.json", "--g2", tmp_path / "g2.json",
+                       "--coeffs", tmp_path / "c.json", "--samples", samples,
+                       "--out", out, "--report", tmp_path / "r.json") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size == 128 + samples * 16 * 16 * 8
+        out.unlink()
+        assert peak < 32 * 2**20, (samples, peak / 2**20)
 
 
 def test_gft_huge_signal_writes_infinite_power(workdir):

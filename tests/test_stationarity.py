@@ -297,6 +297,61 @@ def test_multivariate_p1_reduces_to_univariate_polynomial_filter():
         assert np.abs(samples[m] - filt @ Z[m]).max() < 1e-12
 
 
+# ---------------------------------------------------------------- chunks of samples
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 3])
+@pytest.mark.parametrize("kind", ["fgw", "dir1", "dir2"])
+def test_samplers_in_chunks_equal_the_one_shot_batch(p3p4, kind, offset):
+    # around one and two chunks, the streamed samplers return exactly the
+    # polynomial core applied to the whole noise batch at once
+    L1, L2, b1, b2 = p3p4
+    rows = stationarity._chunk_rows(3 * 4)
+    count = rows + offset if offset < 3 else 2 * rows + offset
+    rng = np.random.default_rng(offset + 2)
+    if kind == "fgw":
+        H = np.array([[1.0, 0.2, 0.05], [0.3, 0.1, 0.0]])
+        got = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=H)), L1, L2, 9, count, b1=b1, b2=b2)
+        Z = WhiteNoise2D(3, 4, 9).batch(count)
+        want = stationarity._poly_apply(L1, Z, stationarity._right_stack(H, L2), axis=0)
+    else:
+        d = int(kind[-1])
+        L, basis, k = (L1, b1, 4) if d == 1 else (L2, b2, 3)
+        Hs = 0.4 * rng.standard_normal((L.shape[0], k, k))
+        got = sample_directional(DirectionalProcess(d, Hs), L, 9, count, basis=basis)
+        Z = WhiteNoise2D(*((3, 4) if d == 1 else (k, 4)), 9).batch(count)
+        want = stationarity._poly_apply(L, Z, Hs, axis=d - 1)
+    assert got.shape == want.shape == (count, 3, 4)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_path_check_raises_after_the_last_chunk(p3p4, monkeypatch):
+    # the check judges the whole batch, so every chunk is produced first
+    L1, L2, b1, b2 = p3p4
+    monkeypatch.setattr(stationarity, "_CHUNK_VALUES", 12 * 4)
+    wrong = type(b1)(values=b1.values, vectors=b1.vectors[:, ::-1].copy(), source=b1.source)
+    chunks = stationarity._fgw_chunks(FgwProcess(kernel=PolyKernel2D(H=[[0.0], [1.0]])),
+                                      L1, L2, 3, 10, b1=wrong, b2=b2)
+    seen = []
+    with pytest.raises(SamplingError, match="disagree"):
+        for X in chunks:
+            seen.append(len(X))
+    assert seen == [4, 4, 2]
+
+
+def test_estimate_cov_over_chunks_keeps_a_large_mean(monkeypatch):
+    # the running sums are shifted by the first chunk's mean, so a mean far
+    # above the spread costs no precision against the two-pass formula
+    monkeypatch.setattr(stationarity, "_CHUNK_VALUES", 6 * 50)
+    batch = 1e8 + WhiteNoise2D(2, 3, seed=17).batch(1000) * np.arange(1.0, 7.0).reshape(2, 3)
+    flat = batch.reshape(1000, 6)
+    centered = flat - flat.mean(axis=0)
+    want = centered.T @ centered / 999
+    got = estimate_cov(batch)
+    assert got.m == 1000
+    assert np.abs(got.as_matrix() - want).max() < 1e-9 * np.abs(want).max()
+
+
 def test_estimate_cov_basics():
     zeros = np.zeros((5, 2, 2))
     C = estimate_cov(zeros)
@@ -518,7 +573,8 @@ def test_split_statistics_equal_reference_routes(n1, n2, m, bases, batch_kind):
         assert got.statistic == pytest.approx(ref, rel=1e-12)
 
     # the command line takes both directional reports from the fgw split
-    _, *from_split = stationarity._split_reports(spectra_of(batch, b1, b2), None)
+    _, *from_split = stationarity._split_reports(estimate_cov(spectra_of(batch, b1, b2)),
+                                                 None)
     for d, basis, freq in ((1, b1, k1), (2, b2, k2)):
         rep = directional_report(batch, d, basis)
         assert [r.name for r in rep.sub] == ["condition1_slice_simdiag",
@@ -531,6 +587,13 @@ def test_split_statistics_equal_reference_routes(n1, n2, m, bases, batch_kind):
         split = from_split[d - 1]
         assert split.name == rep.name and split.verdict == rep.verdict
         assert split.statistic == pytest.approx(rep.statistic, rel=1e-12)
+
+
+@pytest.mark.parametrize("direction", [0, 3, 7])
+def test_half_spectra_reject_a_bad_direction(p3p4, direction):
+    _, _, _, b2 = p3p4
+    with pytest.raises(SamplingError, match="direction must be 1 or 2"):
+        half_spectra_of(np.zeros((5, 3, 4)), b2, direction)
 
 
 def test_fgw_basis_batch_mismatch_is_dimension_error(p3p4):
