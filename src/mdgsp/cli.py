@@ -44,7 +44,7 @@ from .filtering import PolyKernel2D, float_array, load_kernel
 from .filtering import polynomial_filter_vertex, spectral_filter_2d
 from .graphs import cartesian_product, load_graph, matrices, save_graph
 from .render import spectrum_heatmap_svg
-from .spectral import default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
+from .spectral import EigenBasis, default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
 from .stationarity import (
     DirectionalProcess,
     FgwProcess,
@@ -111,13 +111,17 @@ def _json_out(payload: dict, path: str) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _load_bases(args, source: str = "laplacian"):
-    g1 = load_graph(args.g1)
-    g2 = load_graph(args.g2)
-    m1 = matrices(g1)
-    m2 = matrices(g2)
-    pick = (lambda m: m.L) if source == "laplacian" else (lambda m: m.W)
-    return g1, g2, eigenbasis(pick(m1), source), eigenbasis(pick(m2), source)
+def _factor_matrix(g, source: str = "laplacian") -> np.ndarray:
+    """The Laplacian (or, for "adjacency", the adjacency) of one graph, and nothing else
+    of its `GraphMatrices`."""
+    m = matrices(g)
+    return m.L if source == "laplacian" else m.W
+
+
+def _decompose(mats: list[np.ndarray], source: str = "laplacian") -> list[EigenBasis]:
+    """Eigenbases of `mats` in order. The list is emptied as it goes, so each matrix is
+    freed once decomposed and no spent n x n matrix sits beside the next `eigh`."""
+    return [eigenbasis(mats.pop(0), source) for _ in range(len(mats))]
 
 
 def cmd_product(args) -> int:
@@ -128,9 +132,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_eig(args) -> int:
-    g = load_graph(args.g1)
-    m = matrices(g)
-    basis = eigenbasis(m.L if args.source == "laplacian" else m.W, args.source)
+    basis = eigenbasis(_factor_matrix(load_graph(args.g1), args.source), args.source)
     if args.format == "json":
         _json_out({"source": args.source, "eigenvalues": [float(v) for v in basis.values]},
                   args.out)
@@ -142,7 +144,8 @@ def cmd_eig(args) -> int:
 
 
 def cmd_gft(args) -> int:
-    _, _, b1, b2 = _load_bases(args, args.source)
+    b1, b2 = _decompose([_factor_matrix(load_graph(p), args.source) for p in (args.g1, args.g2)],
+                        args.source)
     f = load_signal(args.signal)
     if args.source == "laplacian":
         s = gft_2d(f, b1, b2)
@@ -160,17 +163,14 @@ def cmd_gft(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    g1 = load_graph(args.g1)
-    g2 = load_graph(args.g2)
+    laplacians = [_factor_matrix(load_graph(p)) for p in (args.g1, args.g2)]
     f = load_signal(args.signal)
     kernel = load_kernel(args.kernel)
-    L1, L2 = matrices(g1).L, matrices(g2).L
     if isinstance(kernel, PolyKernel2D):
         # a polynomial kernel runs in the vertex domain: no eigenbasis needed
-        out = polynomial_filter_vertex(f, kernel, L1, L2)
+        out = polynomial_filter_vertex(f, kernel, *laplacians)
     else:
-        out = spectral_filter_2d(f, kernel, eigenbasis(L1, "laplacian"),
-                                 eigenbasis(L2, "laplacian"))
+        out = spectral_filter_2d(f, kernel, *_decompose(laplacians))
     out = np.real_if_close(out, tol=100)
     if np.iscomplexobj(out):
         raise KernelError("filter output is complex; the signal CSV stores real values")
@@ -238,7 +238,9 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_variation(args) -> int:
-    g1, g2, b1, b2 = _load_bases(args)
+    # the variation needs the graphs' incidence, so they outlive the decompositions
+    g1, g2 = load_graph(args.g1), load_graph(args.g2)
+    b1, b2 = _decompose([_factor_matrix(g1), _factor_matrix(g2)])
     f = load_signal(args.signal)
     directions = [1, 2] if args.direction == "both" else [int(args.direction)]
     payload = []

@@ -45,7 +45,10 @@ class Incidence:
 
     @classmethod
     def from_weights(cls, w: np.ndarray) -> "Incidence":
-        i, j = np.nonzero(np.triu(w, k=1))
+        # the nonzeros come in row-major order; keeping i < j needs no n x n copy
+        i, j = np.nonzero(w)
+        upper = i < j
+        i, j = i[upper], j[upper]
         by_j = np.argsort(j, kind="stable")
         return cls(n=w.shape[0], i=_freeze(i), j=_freeze(j), w=_freeze(w[i, j]),
                    by_j=_freeze(by_j), i_runs=_freeze(_run_starts(i)),
@@ -123,11 +126,18 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphMatrices:
-    """Adjacency W, diagonal degree D, and Laplacian L = D - W of one graph."""
+    """Adjacency W, diagonal degree D, and Laplacian L = D - W of one graph.
+
+    Only W and L are held. W has a zero diagonal, so the diagonal of L is
+    the degrees, and D is built from it on first access.
+    """
 
     W: np.ndarray
-    D: np.ndarray
     L: np.ndarray
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return _freeze(np.diag(np.diagonal(self.L)))
 
 
 @dataclass(frozen=True)
@@ -217,23 +227,22 @@ def standard_graph(kind: str, n: int) -> Graph:
 def matrices(g: Graph | ProductGraph) -> GraphMatrices:
     """Adjacency, degree, and Laplacian matrices of a graph.
 
-    For a ProductGraph the matrices are materialized as Kronecker sums of
-    the factor matrices, which keeps L(G1 x G2) = L1 (+) L2 exact to the
-    last bit (summing the product rows directly can differ by round-off).
+    W is a read-only view of the graph's own weights, so the only new
+    n x n array is L. For a ProductGraph the matrices are materialized as
+    Kronecker sums of the factor matrices, which keeps L(G1 x G2) = L1 (+) L2
+    exact to the last bit (summing the product rows directly can differ by
+    round-off).
     """
     if isinstance(g, ProductGraph):
         m1 = matrices(g.g1)
         m2 = matrices(g.g2)
-        return GraphMatrices(
-            W=_freeze(kronecker_sum(m1.W, m2.W)),
-            D=_freeze(kronecker_sum(m1.D, m2.D)),
-            L=_freeze(kronecker_sum(m1.L, m2.L)),
-        )
-    W = g.w.copy()
-    d = W.sum(axis=1)
-    D = np.diag(d)
-    L = D - W
-    return GraphMatrices(W=_freeze(W), D=_freeze(D), L=_freeze(L))
+        return GraphMatrices(W=_freeze(kronecker_sum(m1.W, m2.W)),
+                             L=_freeze(kronecker_sum(m1.L, m2.L)))
+    W = _freeze(g.w.view())
+    # 0 - W, not -W: the off-edge zeros stay +0.0, as in diag(d) - W
+    L = np.subtract(0, W)
+    np.fill_diagonal(L, W.sum(axis=1))
+    return GraphMatrices(W=W, L=_freeze(L))
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> ProductGraph:

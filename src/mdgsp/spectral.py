@@ -195,8 +195,9 @@ def save_matrix(m: np.ndarray, path: str | Path) -> None:
     m = np.ascontiguousarray(m, dtype="<f8")
     if m.ndim != 2:
         raise FormatError(f"only 2-D matrices can be saved, got ndim={m.ndim}")
-    header = _MAGIC + struct.pack("<II", m.shape[0], m.shape[1])
-    Path(path).write_bytes(header + m.tobytes())
+    with open(path, "wb") as out:
+        out.write(_MAGIC + struct.pack("<II", m.shape[0], m.shape[1]))
+        m.tofile(out)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

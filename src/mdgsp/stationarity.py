@@ -250,7 +250,9 @@ class _SampleChunks:
     With `spectral` given, `spectral(Z)` must agree with it to
     PATH_AGREE_TOL times the largest sample magnitude (at least 1) of the
     whole batch: the running maxima of the error and of that scale are
-    compared after the last chunk, which is when the iteration raises.
+    compared after the last chunk, which is when the iteration raises. A
+    non-finite value in either route fails the check at its chunk, since
+    no tolerance can hold it.
     """
 
     noise: WhiteNoise2D
@@ -274,8 +276,11 @@ class _SampleChunks:
             Z = self.noise._draw(first, min(rows, self.count - first))
             X = self.vertex(Z)
             if self.spectral is not None:
-                scale = max(scale, float(np.abs(X).max()))
-                err = max(err, float(np.abs(X - self.spectral(Z)).max()))
+                size = float(np.abs(X).max())
+                gap = float(np.abs(X - self.spectral(Z)).max())
+                if not (np.isfinite(size) and np.isfinite(gap)):
+                    raise SamplingError(f"{self.what}: samples are not finite (inf or NaN)")
+                scale, err = max(scale, size), max(err, gap)
             yield X
         if err > PATH_AGREE_TOL * scale:
             raise SamplingError(f"{self.what}: vertex and spectral paths disagree by {err:g}")
@@ -598,7 +603,8 @@ def _split_reports(cov: CovTensor, tol: float | None,
     direction given). Each statistic is sqrt(E_part / E_total): E_total =
     sum |C[k, l]|^2, and E_part sums one region of index pairs
     k = (k1, k2), l = (l1, l2); direction d is the region k_d != l_d. A
-    zero C makes every report a vacuous pass with statistic 0.
+    zero C makes every report a vacuous pass with statistic 0; a non-finite
+    E_total (samples with inf or NaN, or too large to square) raises.
     """
     m = cov.m
     tol = _mc_tol(m, tol)
@@ -606,6 +612,8 @@ def _split_reports(cov: CovTensor, tol: float | None,
     n1, n2 = energy.shape[:2]
     i1, i2 = np.arange(n1), np.arange(n2)
     total = float(energy.sum())
+    if not np.isfinite(total):
+        raise SamplingError(f"covariance energy of {m} samples is not finite ({total})")
     # disjoint regions, each summed on its own so no energy is a difference
     same1 = energy[i1, :, i1, :]  # k1 = l1 blocks, a copy
     same1[:, i2, i2] = 0.0

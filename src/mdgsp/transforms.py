@@ -14,8 +14,9 @@ grouping sum frequencies.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, starmap
 from pathlib import Path
 
 import numpy as np
@@ -284,15 +285,21 @@ def inverse_multivariate_gft(fhat: np.ndarray, basis: EigenBasis) -> np.ndarray:
     return _synthesize(fhat, basis, 0)
 
 
-def signal_to_csv(f: Signal2D) -> str:
-    """Plain CSV, n1 rows by n2 columns, shortest round-trip floats."""
+def _signal_lines(f: Signal2D) -> Iterator[str]:
+    """The lines of `signal_to_csv`, one row at a time; f is checked before the first."""
     f = np.asarray(f)
     if f.ndim != 2:
         raise FormatError(f"expected a 2-D signal, got ndim={f.ndim}")
-    # repr of a row's float list holds each float's repr; one row at a time
-    # keeps the peak as low as a per-element loop
     rows = np.asarray(f, dtype=np.float64)
-    return "\n".join(repr(row.tolist())[1:-1].replace(", ", ",") for row in rows) + "\n"
+    if not len(rows):
+        return iter(["\n"])
+    # repr of a row's float list holds each float's repr
+    return (repr(row.tolist())[1:-1].replace(", ", ",") + "\n" for row in rows)
+
+
+def signal_to_csv(f: Signal2D) -> str:
+    """Plain CSV, n1 rows by n2 columns, shortest round-trip floats."""
+    return "".join(_signal_lines(f))
 
 
 def signal_from_csv(text: str) -> Signal2D:
@@ -313,24 +320,43 @@ def signal_from_csv(text: str) -> Signal2D:
     return f
 
 
+def _write_chunks(chunks: Iterator[str], path: str | Path) -> None:
+    """Write text chunk by chunk, so the whole text never exists at once."""
+    with open(path, "w") as out:
+        out.writelines(chunks)
+
+
 def save_signal(f: Signal2D, path: str | Path) -> None:
-    Path(path).write_text(signal_to_csv(f))
+    """Write `signal_to_csv(f)` one row at a time."""
+    _write_chunks(_signal_lines(f), path)
 
 
 def load_signal(path: str | Path) -> Signal2D:
     return signal_from_csv(Path(path).read_text())
 
 
-def spectrum_to_csv(s: Spectrum2D) -> str:
-    """CSV rows (k1, k2, lambda1, lambda2, re, im, power) in index order."""
-    lines = ["k1,k2,lambda1,lambda2,re,im,power"]
+def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
+    """The text of `spectrum_to_csv`: the header, then the lines of one k1 at a time.
+
+    s is checked before the first block, so a writer fails before it opens its file.
+    """
     lam1 = float_reprs(s.lambdas1)
     lam2 = float_reprs(s.lambdas2)
-    for k1, row in enumerate(s.values):
+    if np.ndim(s.values) != 2 or np.shape(s.values) != (len(lam1), len(lam2)):
+        raise DimensionError(f"spectrum values of shape {np.shape(s.values)} do not match "
+                             f"{len(lam1)} x {len(lam2)} eigenvalues")
+
+    def block(k1: int, row: np.ndarray) -> str:
         z = row.astype(np.complex128)
-        lines += [f"{k1},{k2},{lam1[k1]},{lam2[k2]},{r!r},{i!r},{_power(r, i)!r}"
-                  for k2, (r, i) in enumerate(zip(z.real.tolist(), z.imag.tolist()))]
-    return "\n".join(lines) + "\n"
+        return "".join(f"{k1},{k2},{lam1[k1]},{lam2[k2]},{r!r},{i!r},{_power(r, i)!r}\n"
+                       for k2, (r, i) in enumerate(zip(z.real.tolist(), z.imag.tolist())))
+
+    return chain(["k1,k2,lambda1,lambda2,re,im,power\n"], starmap(block, enumerate(s.values)))
+
+
+def spectrum_to_csv(s: Spectrum2D) -> str:
+    """CSV rows (k1, k2, lambda1, lambda2, re, im, power) in index order."""
+    return "".join(_spectrum_blocks(s))
 
 
 def _power(re: float, im: float) -> float:
@@ -372,7 +398,8 @@ def spectrum_from_csv(text: str) -> Spectrum2D:
 
 
 def save_spectrum(s: Spectrum2D, path: str | Path) -> None:
-    Path(path).write_text(spectrum_to_csv(s))
+    """Write `spectrum_to_csv(s)` one k1 block of lines at a time."""
+    _write_chunks(_spectrum_blocks(s), path)
 
 
 def load_spectrum(path: str | Path) -> Spectrum2D:

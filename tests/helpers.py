@@ -1,5 +1,7 @@
 """Shared fixtures-in-spirit: random graph/signal generators for tests."""
 
+import tracemalloc
+
 import numpy as np
 
 from mdgsp import build_graph, eigenbasis, matrices
@@ -41,3 +43,17 @@ def distinct_spectrum_graph(rng, n, tries=50):
         if np.diff(values).min() > 1e-6:
             return g
     raise AssertionError("could not draw a distinct-spectrum graph")
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation while fn() runs, in MiB (2**20 bytes).
+
+    The trace is stopped even if fn raises, so one failing test cannot
+    leave tracing on for the next.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

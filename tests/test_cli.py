@@ -16,7 +16,7 @@ from mdgsp import (
     total_directional_variation,
 )
 from mdgsp.cli import main
-from helpers import laplacian_basis
+from helpers import laplacian_basis, traced_peak_mb
 
 
 @pytest.fixture
@@ -322,26 +322,37 @@ def test_failed_path_check_leaves_no_sample_dump(workdir, monkeypatch, capsys):
     assert list(workdir.glob("y.npy*")) == [] and list(workdir.glob("*.tmp")) == []
 
 
-def test_stationarity_memory_does_not_grow_with_samples(tmp_path):
-    import tracemalloc
+def test_nonfinite_samples_exit_7_and_leave_no_files(workdir, capsys):
+    # 1e308 coefficients overflow the filter: the dump would hold inf and NaN
+    # and the report a NaN statistic, which is not valid JSON
+    (workdir / "big.json").write_text(json.dumps({"h": [[1e308, 1e308], [1e308, 1e308]]}))
+    with np.errstate(all="ignore"):
+        assert run("stationarity", "--mode", "test", "--kind", "fgw", "--g1",
+                   workdir / "g1.json", "--g2", workdir / "g2.json", "--coeffs",
+                   workdir / "big.json", "--samples", 50, "--out", workdir / "x.npy",
+                   "--report", workdir / "r.json") == 7
+    assert "not finite" in capsys.readouterr().err
+    assert list(workdir.glob("x.npy*")) == [] and not (workdir / "r.json").exists()
+    assert list(workdir.glob("*.tmp")) == []
 
+
+def test_stationarity_memory_does_not_grow_with_samples(tmp_path):
     save_graph(standard_graph("path", 16), tmp_path / "g1.json")
     save_graph(standard_graph("cycle", 16), tmp_path / "g2.json")
     (tmp_path / "c.json").write_text(json.dumps({"h": [[1.0, 0.2], [0.1, 0.05]]}))
     for samples in (20_000, 60_000):
         out = tmp_path / "x.npy"
-        tracemalloc.start()
-        try:
+
+        def test_run():
             assert run("stationarity", "--mode", "test", "--kind", "fgw",
                        "--g1", tmp_path / "g1.json", "--g2", tmp_path / "g2.json",
                        "--coeffs", tmp_path / "c.json", "--samples", samples,
                        "--out", out, "--report", tmp_path / "r.json") == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak_mb(test_run)
         assert out.stat().st_size == 128 + samples * 16 * 16 * 8
         out.unlink()
-        assert peak < 32 * 2**20, (samples, peak / 2**20)
+        assert peak < 32, (samples, peak)
 
 
 def test_gft_huge_signal_writes_infinite_power(workdir):

@@ -1,11 +1,9 @@
 """Energy-model evaluation and minimization."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from helpers import laplacian_basis, random_graph
+from helpers import laplacian_basis, random_graph, traced_peak_mb
 
 from mdgsp import (
     EbemParams,
@@ -262,10 +260,4 @@ def test_energy_memory_stays_edge_sized():
     g1, g2 = standard_graph("cycle", 400), standard_graph("path", 50)
     x, y = rng.standard_normal((2, 400, 50))
     params = EbemParams(p=2, gamma1=0.5, gamma2=0.5, q1=1.5, q2=1.5)
-    tracemalloc.start()
-    try:
-        ebem_energy(x, y, g1, g2, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert traced_peak_mb(lambda: ebem_energy(x, y, g1, g2, params)) < 10

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_graph
+from helpers import random_graph, traced_peak_mb
 
 from mdgsp import (
-    GraphError,
     FormatError,
+    Graph,
+    GraphError,
     build_graph,
     cartesian_product,
     graph_from_json,
@@ -18,6 +19,7 @@ from mdgsp import (
     matrices,
     standard_graph,
 )
+from mdgsp.graphs import Incidence
 
 
 def test_build_smallest_path():
@@ -181,3 +183,65 @@ def test_graph_is_immutable():
     g = standard_graph("path", 3)
     with pytest.raises(ValueError):
         g.w[0, 1] = 5.0
+
+
+# ------------------------------------------- matrices against the plain forms
+
+
+def plain_matrices(g):
+    """W, D, L as copies: diag(d) - W per graph, Kronecker sums for a product."""
+    if hasattr(g, "g1"):
+        (W1, D1, L1), (W2, D2, L2) = plain_matrices(g.g1), plain_matrices(g.g2)
+        return kronecker_sum(W1, W2), kronecker_sum(D1, D2), kronecker_sum(L1, L2)
+    W = g.w.copy()
+    D = np.diag(W.sum(axis=1))
+    return W, D, D - W
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def matrix_cases():
+    rng = np.random.default_rng(17)
+    simple = [random_graph(rng, n, p) for n, p in ((1, 0.5), (6, 0.5), (9, 0.3), (11, 0.9))]
+    simple += [standard_graph("edgeless", 3), standard_graph("wheel", 6)]
+    return simple + [cartesian_product(simple[1], simple[2]),
+                     cartesian_product(simple[4], simple[5])]
+
+
+@pytest.mark.parametrize("g", matrix_cases())
+def test_matrices_bit_equal_plain_forms(g):
+    m = matrices(g)
+    W, D, L = plain_matrices(g)
+    for got, want in ((m.W, W), (m.D, D), (m.L, L)):
+        assert_bits_equal(got, want)
+        assert not got.flags.writeable
+    if not hasattr(g, "g1"):  # a product's Kronecker terms hold -0.0 in both forms
+        assert not np.signbit(m.L[m.W == 0]).any()  # +0.0 off the edges, as in diag(d) - W
+
+
+def test_matrices_share_the_weights_and_build_D_on_demand():
+    g = standard_graph("cycle", 5)
+    m = matrices(g)
+    assert np.shares_memory(m.W, g.w)
+    assert "D" not in vars(m)
+    assert m.D is m.D  # built once
+
+
+def test_matrices_memory_is_one_laplacian():
+    # W is the graph's own array and D is lazy: only L is a new n x n array
+    rng = np.random.default_rng(5)
+    n = 600
+    w = np.triu(rng.random((n, n)) < 0.02, k=1) * rng.uniform(0.5, 2.0, (n, n))
+    g = Graph(n=n, w=w + w.T)
+    assert traced_peak_mb(lambda: matrices(g)) * 2**20 <= 1.2 * 8 * n * n
+
+
+@pytest.mark.parametrize("g", matrix_cases()[:6])
+def test_incidence_edges_are_the_upper_triangle_in_row_major_order(g):
+    d = Incidence.from_weights(g.w)
+    i, j = np.nonzero(np.triu(g.w, k=1))
+    assert d.i.tolist() == i.tolist() and d.j.tolist() == j.tolist()
+    assert_bits_equal(d.w, g.w[i, j])

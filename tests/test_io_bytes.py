@@ -6,15 +6,17 @@ in bulk and must produce the same strings and the same floats bit for bit.
 """
 
 import json
+import struct
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
-from helpers import laplacian_basis, random_connected_graph
+from helpers import laplacian_basis, random_connected_graph, traced_peak_mb
 
 import mdgsp.cli as cli
 from mdgsp import (
+    DimensionError,
     Spectrum2D,
     SpectralGroup,
     aggregate_to_1d,
@@ -23,8 +25,11 @@ from mdgsp import (
     eigenbasis,
     gft_2d,
     matrices,
+    load_matrix,
     save_graph,
+    save_matrix,
     save_signal,
+    save_spectrum,
     standard_graph,
 )
 from mdgsp._colormap import VIRIDIS_256
@@ -260,6 +265,64 @@ def test_all_zero_signal_writers():
     assert len(cells) == 25 and all(VIRIDIS_256[0] in c for c in cells)
     assert spectrum_to_csv(s) == ref_spectrum_to_csv(s)
     assert_aggregate_matches(s, 1e-8)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 6), (6, 1), (0, 4), (0, 0), (3, 0)])
+def test_streamed_signal_file_equals_its_text(tmp_path, shape):
+    f = np.random.default_rng(3).standard_normal(shape) * 1e3
+    f[..., :1] = -0.0
+    save_signal(f, tmp_path / "f.csv")
+    text = signal_to_csv(f)
+    assert (tmp_path / "f.csv").read_bytes() == text.encode()
+    assert text == ref_signal_to_csv(f)  # a zero-row signal is "\n"
+
+
+def test_streamed_spectrum_file_equals_its_text(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    values[0, :3] = [-0.0, 1e200, 1e308 + 1e308j]  # -0.0 and two overflowing powers
+    cases = [random_spectrum(3), complex_spectrum(),
+             Spectrum2D(values=values, lambdas1=np.sort(rng.random(5)),
+                        lambdas2=np.array([-0.0, 0.5, 1.0, 2.0])),
+             Spectrum2D(values=np.zeros((0, 3)), lambdas1=np.zeros(0), lambdas2=np.ones(3))]
+    for s in cases:
+        save_spectrum(s, tmp_path / "s.csv")
+        text = spectrum_to_csv(s)
+        assert (tmp_path / "s.csv").read_bytes() == text.encode()
+        if s is not cases[2]:  # the oracle's abs(v) ** 2 raises where the power overflows
+            assert text == ref_spectrum_to_csv(s)
+    assert (tmp_path / "s.csv").read_text() == "k1,k2,lambda1,lambda2,re,im,power\n"
+    assert spectrum_to_csv(cases[2]).count(",inf\n") == 2
+
+
+def test_spectrum_writer_rejects_a_shape_mismatch_before_writing(tmp_path):
+    s = Spectrum2D(values=np.ones((2, 3)), lambdas1=np.zeros(2), lambdas2=np.zeros(2))
+    with pytest.raises(DimensionError):
+        save_spectrum(s, tmp_path / "s.csv")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (1, 1), (0, 5)])
+def test_streamed_matrix_file_is_header_then_bytes(tmp_path, shape):
+    m = np.random.default_rng(2).standard_normal(shape)
+    m[..., :1] = -0.0
+    save_matrix(m, tmp_path / "m.mat")
+    want = b"MDGSPMAT" + struct.pack("<II", *shape) + m.astype("<f8").tobytes()
+    assert (tmp_path / "m.mat").read_bytes() == want
+    back = load_matrix(tmp_path / "m.mat")
+    assert np.array_equal(back, m) and np.array_equal(np.signbit(back), np.signbit(m))
+
+
+def test_writers_stream_without_building_the_text(tmp_path):
+    # the whole 1000 x 100 text is 2 MB for the signal and 30 MB for the spectrum
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal((1000, 100))
+    s = Spectrum2D(values=f, lambdas1=np.sort(rng.random(1000)),
+                   lambdas2=np.sort(rng.random(100)))
+    assert traced_peak_mb(lambda: save_signal(f, tmp_path / "f.csv")) < 2
+    assert traced_peak_mb(lambda: save_spectrum(s, tmp_path / "s.csv")) < 2
+    m = rng.standard_normal((500, 500))  # 2 MB
+    assert traced_peak_mb(lambda: save_matrix(m, tmp_path / "m.mat")) < 1
 
 
 # ---------------------------------------------------------------- aggregation

@@ -623,6 +623,32 @@ def test_zero_batch_is_vacuous_in_every_report(p3p4, direction):
         assert r.to_dict()["vacuous"] is True
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_samples_raise_instead_of_reporting_nan(p3p4, bad):
+    _, _, b1, b2 = p3p4
+    batch = np.random.default_rng(2).standard_normal((60, 3, 4))
+    batch[7, 1, 2] = bad
+    with np.errstate(all="ignore"):
+        with pytest.raises(SamplingError, match="not finite"):
+            fgw_report(batch, b1, b2, tol=1.0)
+        for direction, basis in ((1, b1), (2, b2)):
+            with pytest.raises(SamplingError, match="not finite"):
+                directional_report(batch, direction, basis, tol=1.0)
+        # finite samples whose covariance energy overflows raise the same way
+        with pytest.raises(SamplingError, match="not finite"):
+            fgw_report(np.where(np.isfinite(batch), batch, 0.0) * 1e160, b1, b2, tol=1.0)
+
+
+def test_overflowing_sampler_fails_its_path_check(p3p4):
+    L1, L2, b1, b2 = p3p4
+    huge = FgwProcess(kernel=PolyKernel2D(H=np.full((2, 2), 1e308)))
+    with np.errstate(all="ignore"), pytest.raises(SamplingError, match="not finite"):
+        sample_fgw(huge, L1, L2, 3, 50, b1=b1, b2=b2)
+    with np.errstate(all="ignore"), pytest.raises(SamplingError, match="not finite"):
+        sample_directional(DirectionalProcess(1, np.full((3, 4, 4), 1e308)), L1, 3, 50,
+                           basis=b1)
+
+
 # ---------------------------------------------------------------- precomputed bases
 
 

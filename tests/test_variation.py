@@ -1,11 +1,9 @@
 """Gradients, local variation, and the three-way total-variation identity."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from helpers import laplacian_basis, random_graph
+from helpers import laplacian_basis, random_graph, traced_peak_mb
 
 from mdgsp import (
     DimensionError,
@@ -154,11 +152,9 @@ def test_local_variation_memory_stays_edge_sized():
     rng = np.random.default_rng(42)
     g1, g2 = standard_graph("cycle", 400), standard_graph("path", 50)
     f = rng.standard_normal((400, 50))
-    tracemalloc.start()
-    try:
+
+    def both_directions():
         for direction in (1, 2):
             local_variation_matrix(f, g1, g2, direction)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+
+    assert traced_peak_mb(both_directions) < 10
