@@ -45,17 +45,7 @@ from .filtering import polynomial_filter_vertex, spectral_filter_2d
 from .graphs import cartesian_product, load_graph, matrices, save_graph
 from .render import spectrum_heatmap_svg
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
-from .stationarity import (
-    DirectionalProcess,
-    FgwProcess,
-    _CovAccumulator,
-    _directional_chunks,
-    _fgw_chunks,
-    _mc_tol,
-    _split_reports,
-    half_spectra_of,
-    spectra_of,
-)
+from .stationarity import DirectionalProcess, FgwProcess, _directional_chunks, _fgw_chunks
 from .transforms import (
     adjacency_gft_2d,
     aggregate_to_1d,
@@ -68,27 +58,19 @@ from .transforms import (
 )
 from .variation import total_directional_variation
 
-_EXIT_CODES = [
-    ((FormatError, GraphError), 3),
-    ((DimensionError,), 4),
-    ((MemoryError,), 6),
-    ((KernelError, SpectrumError, SamplingError), 7),
-    ((MdgspError,), 3),
+# (class, exit code, slug of "mdgsp: error[slug]: ..."); the first isinstance match wins
+_ERRORS = [
+    (FormatError, 3, "format"),
+    (GraphError, 3, "graph"),
+    (DimensionError, 4, "dimension-mismatch"),
+    (MemoryError, 6, "allocation"),
+    (KernelError, 7, "kernel"),
+    (SpectrumError, 7, "spectrum"),
+    (SamplingError, 7, "sampling"),
+    (MdgspError, 3, "internal"),
 ]
 
 EXIT_NONCONVERGENCE = 5
-
-
-def _error_slug(exc: BaseException) -> str:
-    return {
-        "FormatError": "format",
-        "GraphError": "graph",
-        "DimensionError": "dimension-mismatch",
-        "KernelError": "kernel",
-        "SpectrumError": "spectrum",
-        "SamplingError": "sampling",
-        "MemoryError": "allocation",
-    }.get(type(exc).__name__, "internal")
 
 
 def _write_manifest(primary_out: str, command: str, args: argparse.Namespace,
@@ -319,42 +301,29 @@ def cmd_stationarity(args) -> int:
     if args.kind == "fgw":
         chunks = _fgw_chunks(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2, args.seed,
                              args.samples, distribution=args.distribution, b1=b1, b2=b2)
-        directions = (1, 2)  # the fgw test and both directional tests share one covariance
-
-        def spectra(X):
-            return spectra_of(X, b1, b2)
     else:
         direction = 2 if args.kind == "dir2" else 1  # mv is direction-1 sampling
         L, basis = (L1, b1) if direction == 1 else (L2, b2)
         chunks = _directional_chunks(DirectionalProcess(direction=direction, Hs=coeffs), L,
                                      args.seed, args.samples, distribution=args.distribution,
                                      basis=basis)
-        directions = (direction,)
 
-        def spectra(X):
-            return half_spectra_of(X, basis, direction)
-
-    testing = args.mode == "test"
-    if testing:
-        _mc_tol(args.samples, args.tol)  # a test the sample count cannot pass fails now
-        acc = _CovAccumulator()
     payload: dict = {
         "kind": args.kind,
         "samples": args.samples,
         "seed": args.seed,
         "shape": list(chunks.shape[1:]),
     }
+    if args.out:
+        payload["out"] = args.out
     with _npy_rows(args.out, chunks.shape) as write:
-        for X in chunks:
-            write(X)
-            if testing:
-                acc.add(spectra(X))
-        if args.out:
-            payload["out"] = args.out
-        if testing:
-            reps = _split_reports(acc.covariance(), args.tol, directions)
+        if args.mode == "test":
+            reps = chunks.test(args.tol, write)
             payload["tests"] = [r.to_dict() for r in reps]
             payload["verdict"] = "pass" if all(r.verdict for r in reps) else "fail"
+        else:
+            for X in chunks:
+                write(X)
         _json_out(payload, args.report)
     return 0
 
@@ -515,8 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rc = args.func(args)
     except (MdgspError, MemoryError) as exc:
-        code = next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
-        print(f"mdgsp: error[{_error_slug(exc)}]: {exc}", file=sys.stderr)
+        code, slug = next((code, slug) for cls, code, slug in _ERRORS if isinstance(exc, cls))
+        print(f"mdgsp: error[{slug}]: {exc}", file=sys.stderr)
         return code
     except OSError as exc:
         print(f"mdgsp: error[io]: {exc}", file=sys.stderr)

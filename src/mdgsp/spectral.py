@@ -81,10 +81,8 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise SpectrumError("matrix is not symmetric within 1e-12 relative tolerance")
 
+    # eigh's values ascend, and both arrays are fresh and writable: edited in place below
     values, vectors = np.linalg.eigh(m)
-    order = np.argsort(values, kind="stable")
-    values = values[order].copy()
-    vectors = vectors[:, order].copy()
 
     # Sign rule: first component with magnitude above SIGN_EPS is positive.
     cols = np.arange(vectors.shape[1])

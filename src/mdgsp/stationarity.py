@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -247,19 +248,24 @@ class _SampleChunks:
 
     Iterating draws each chunk of noise Z with `noise._draw`, so the chunks
     are the rows of the whole batch bit for bit, and yields `vertex(Z)`.
-    With `spectral` given, `spectral(Z)` must agree with it to
-    PATH_AGREE_TOL times the largest sample magnitude (at least 1) of the
-    whole batch: the running maxima of the error and of that scale are
-    compared after the last chunk, which is when the iteration raises. A
-    non-finite value in either route fails the check at its chunk, since
-    no tolerance can hold it.
+    `spectral(Z)` must agree with it to PATH_AGREE_TOL times the largest
+    sample magnitude (at least 1) of the whole batch: the running maxima of
+    the error and of that scale are compared after the last chunk, which is
+    when the iteration raises. A non-finite value in either route fails the
+    check at its chunk, since no tolerance can hold it.
+
+    The chunks also carry their process's test: `spectra` maps a chunk of
+    samples to the spectra whose covariance must be diagonal, and
+    `directions` selects the reports of `_split_reports` (see `test`).
     """
 
     noise: WhiteNoise2D
     count: int
     vertex: Callable[[np.ndarray], np.ndarray]
-    spectral: Callable[[np.ndarray], np.ndarray] | None
+    spectral: Callable[[np.ndarray], np.ndarray]
     what: str
+    spectra: Callable[[np.ndarray], np.ndarray]
+    directions: tuple[int, ...]
 
     def __post_init__(self):
         if self.count < 1:
@@ -275,12 +281,11 @@ class _SampleChunks:
         for first in range(0, self.count, rows):
             Z = self.noise._draw(first, min(rows, self.count - first))
             X = self.vertex(Z)
-            if self.spectral is not None:
-                size = float(np.abs(X).max())
-                gap = float(np.abs(X - self.spectral(Z)).max())
-                if not (np.isfinite(size) and np.isfinite(gap)):
-                    raise SamplingError(f"{self.what}: samples are not finite (inf or NaN)")
-                scale, err = max(scale, size), max(err, gap)
+            size = float(np.abs(X).max())
+            gap = float(np.abs(X - self.spectral(Z)).max())
+            if not (np.isfinite(size) and np.isfinite(gap)):
+                raise SamplingError(f"{self.what}: samples are not finite (inf or NaN)")
+            scale, err = max(scale, size), max(err, gap)
             yield X
         if err > PATH_AGREE_TOL * scale:
             raise SamplingError(f"{self.what}: vertex and spectral paths disagree by {err:g}")
@@ -293,9 +298,17 @@ class _SampleChunks:
             first += len(X)
         return out
 
+    def test(self, tol: float | None,
+             sink: Callable[[np.ndarray], None]) -> tuple[DiagnosticReport, ...]:
+        """`_test_chunks` of these chunks, each also handed to `sink`: the fgw test and
+        both directional tests for fgw, one directional test otherwise. A sample
+        count that cannot meet `tol` raises before the first draw."""
+        _mc_tol(self.count, tol)
+        return _test_chunks(self, self.spectra, tol, self.directions, sink)
+
 
 def _fgw_chunks(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, count: int,
-                distribution: str = "gaussian", check: bool = True,
+                distribution: str = "gaussian",
                 b1: EigenBasis | None = None, b2: EigenBasis | None = None) -> _SampleChunks:
     """`sample_fgw`'s samples in chunks; its arguments are checked here, before any draw."""
     L1 = np.asarray(L1, dtype=np.float64)
@@ -308,23 +321,22 @@ def _fgw_chunks(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, cou
         )
     noise = WhiteNoise2D(n1, n2, seed, distribution)
     R = _right_stack(H, L2)
-    spectral = None
-    if check:
-        if b1 is None:
-            b1 = eigenbasis(L1, "laplacian")
-        if b2 is None:
-            b2 = eigenbasis(L2, "laplacian")
-        gains = proc.gains(b1, b2)
+    if b1 is None:
+        b1 = eigenbasis(L1, "laplacian")
+    if b2 is None:
+        b2 = eigenbasis(L2, "laplacian")
+    gains = proc.gains(b1, b2)
+    spectra = partial(spectra_of, b1=b1, b2=b2)
 
-        def spectral(Z):
-            return _synthesize(_synthesize(gains * spectra_of(Z, b1, b2), b1, 1), b2, 2)
+    def spectral(Z):
+        return _synthesize(_synthesize(gains * spectra(Z), b1, 1), b2, 2)
 
     return _SampleChunks(noise, count, lambda Z: _poly_apply(L1, Z, R, axis=0), spectral,
-                         "factor-graph-wise sampler")
+                         "factor-graph-wise sampler", spectra, (1, 2))
 
 
 def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, count: int,
-               distribution: str = "gaussian", check: bool = True,
+               distribution: str = "gaussian",
                b1: EigenBasis | None = None, b2: EigenBasis | None = None) -> np.ndarray:
     """Draw samples X = sum_{s1,s2} H[s1,s2] L1^s1 Z L2^s2 with fresh noise Z.
 
@@ -334,7 +346,7 @@ def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, coun
     sizes. `b1`/`b2` are the Laplacian eigenbases of L1 and L2, if already
     computed; only that check uses them.
     """
-    return _fgw_chunks(proc, L1, L2, seed, count, distribution, check, b1, b2).array()
+    return _fgw_chunks(proc, L1, L2, seed, count, distribution, b1, b2).array()
 
 
 def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis,
@@ -369,7 +381,7 @@ def _require_distinct(values: np.ndarray, tol: float | None, what: str) -> None:
 
 def _directional_chunks(proc: DirectionalProcess, L: np.ndarray, seed: int, count: int,
                         n_other: int | None = None, distribution: str = "gaussian",
-                        check: bool = True, basis: EigenBasis | None = None) -> _SampleChunks:
+                        basis: EigenBasis | None = None) -> _SampleChunks:
     """`sample_directional`'s samples in chunks; its arguments are checked here."""
     L = np.asarray(L, dtype=np.float64)
     n = L.shape[0]
@@ -382,25 +394,23 @@ def _directional_chunks(proc: DirectionalProcess, L: np.ndarray, seed: int, coun
 
     d = proc.direction
     noise = WhiteNoise2D(*((n, k) if d == 1 else (k, n)), seed, distribution)
-    spectral = None
-    if check:
-        if basis is None:
-            basis = eigenbasis(L, "laplacian")
-        # Xt[:, k] = Zt[:, k] @ Htilde_k (direction 1) or Htilde_k @ Zt[:, :, k] (direction 2)
-        subscripts = "mki,kij->mkj" if d == 1 else "mjk,kij->mik"
-        gains = proc.half_gains(basis)
+    if basis is None:
+        basis = eigenbasis(L, "laplacian")
+    # Xt[:, k] = Zt[:, k] @ Htilde_k (direction 1) or Htilde_k @ Zt[:, :, k] (direction 2)
+    subscripts = "mki,kij->mkj" if d == 1 else "mjk,kij->mik"
+    gains = proc.half_gains(basis)
+    spectra = partial(half_spectra_of, basis=basis, direction=d)
 
-        def spectral(Z):
-            Xt = np.einsum(subscripts, half_spectra_of(Z, basis, d), gains)
-            return _synthesize(Xt, basis, d)
+    def spectral(Z):
+        return _synthesize(np.einsum(subscripts, spectra(Z), gains), basis, d)
 
     return _SampleChunks(noise, count, lambda Z: _poly_apply(L, Z, Hs, axis=d - 1), spectral,
-                         "directional sampler")
+                         "directional sampler", spectra, (d,))
 
 
 def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count: int,
                        n_other: int | None = None, distribution: str = "gaussian",
-                       check: bool = True, basis: EigenBasis | None = None) -> np.ndarray:
+                       basis: EigenBasis | None = None) -> np.ndarray:
     """Draw directionally stationary samples as one (count, n1, n2) array.
 
     `L` is the Laplacian of the factor the process is polynomial in; the
@@ -409,8 +419,7 @@ def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count
     only) is evaluated as well and must match per sample; `basis` is the
     eigenbasis of `L`, if already computed, and only that check uses it.
     """
-    return _directional_chunks(proc, L, seed, count, n_other, distribution, check,
-                               basis).array()
+    return _directional_chunks(proc, L, seed, count, n_other, distribution, basis).array()
 
 
 def construct_directional_from_gamma(Gammas, basis: EigenBasis, direction: int = 1,
@@ -450,8 +459,7 @@ def construct_directional_from_gamma(Gammas, basis: EigenBasis, direction: int =
     return DirectionalProcess(direction=direction, Hs=Hs)
 
 
-def sample_multivariate(Hs, L: np.ndarray, seed: int, count: int,
-                        distribution: str = "gaussian", check: bool = True,
+def sample_multivariate(Hs, L: np.ndarray, seed: int, count: int, distribution: str = "gaussian",
                         basis: EigenBasis | None = None) -> np.ndarray:
     """Draw p-variate stationary samples X = sum_s L^s Z H_s as a (count, n, p) array.
 
@@ -460,8 +468,7 @@ def sample_multivariate(Hs, L: np.ndarray, seed: int, count: int,
     sampling and shares its code path (and noise stream) bit for bit.
     """
     proc = DirectionalProcess(direction=1, Hs=np.asarray(Hs, dtype=np.float64))
-    return sample_directional(proc, L, seed, count, distribution=distribution, check=check,
-                              basis=basis)
+    return sample_directional(proc, L, seed, count, distribution=distribution, basis=basis)
 
 
 def spectra_of(samples, b1: EigenBasis, b2: EigenBasis) -> np.ndarray:
@@ -511,20 +518,16 @@ class _CovAccumulator:
         return CovTensor(values=cov.reshape(self.shape * 2), m=m)
 
 
-def _cov_of_chunks(chunks: Iterable[np.ndarray]) -> CovTensor:
-    acc = _CovAccumulator()
-    for chunk in chunks:
-        acc.add(chunk)
-    return acc.covariance()
-
-
 def estimate_cov(samples) -> CovTensor:
     """Mean-subtracted empirical covariance of 2-D sample matrices.
 
     Entry [k1, k2, l1, l2] is Cov(x[k1, k2], x[l1, l2]) over the sample
     set; Hermitian symmetry holds by construction.
     """
-    return _cov_of_chunks(_row_chunks(_as_batch(samples)))
+    acc = _CovAccumulator()
+    for chunk in _row_chunks(_as_batch(samples)):
+        acc.add(chunk)
+    return acc.covariance()
 
 
 def max_offdiag_correlation(cov: CovTensor) -> float:
@@ -652,6 +655,19 @@ def _split_reports(cov: CovTensor, tol: float | None,
     return (fgw,) + directional
 
 
+def _test_chunks(chunks: Iterable[np.ndarray], spectra: Callable, tol: float | None,
+                 directions: tuple[int, ...], sink: Callable | None = None
+                 ) -> tuple[DiagnosticReport, ...]:
+    """The streaming stationarity test: each chunk of samples goes to `sink` (if
+    given), then its `spectra` join one covariance, which `_split_reports` splits."""
+    acc = _CovAccumulator()
+    for X in chunks:
+        if sink is not None:
+            sink(X)
+        acc.add(spectra(X))
+    return _split_reports(acc.covariance(), tol, directions)
+
+
 def test_fgw_stationarity(samples, b1: EigenBasis, b2: EigenBasis,
                           tol: float | None = None) -> DiagnosticReport:
     """Empirical check of the three equivalent factor-graph-wise conditions.
@@ -665,9 +681,8 @@ def test_fgw_stationarity(samples, b1: EigenBasis, b2: EigenBasis,
     k2 != l2, is reported but not part of the verdict. `tol=None` means
     5/sqrt(M).
     """
-    batch = _as_batch(samples, b1.n, b2.n)
-    return _split_reports(_cov_of_chunks(spectra_of(c, b1, b2) for c in _row_chunks(batch)),
-                          tol)[0]
+    chunks = _row_chunks(_as_batch(samples, b1.n, b2.n))
+    return _test_chunks(chunks, lambda X: spectra_of(X, b1, b2), tol, (1, 2))[0]
 
 
 def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
@@ -681,5 +696,5 @@ def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
     blocks) are this one quantity. `tol=None` means 5/sqrt(M).
     """
     _check_direction(direction)
-    chunks = (half_spectra_of(c, basis, direction) for c in _row_chunks(_as_batch(samples)))
-    return _split_reports(_cov_of_chunks(chunks), tol, (direction,))[0]
+    return _test_chunks(_row_chunks(_as_batch(samples)),
+                        lambda X: half_spectra_of(X, basis, direction), tol, (direction,))[0]

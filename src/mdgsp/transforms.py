@@ -368,27 +368,37 @@ def _power(re: float, im: float) -> float:
 
 
 def spectrum_from_csv(text: str) -> Spectrum2D:
+    """Read `spectrum_to_csv` text. Every (k1, k2) pair of the index grid must appear
+    exactly once, and no value may be NaN (an overflowing power is written as inf)."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "k1,k2,lambda1,lambda2,re,im,power":
         raise FormatError("spectrum CSV missing expected header")
-    entries = []
+    if len(lines) == 1:
+        raise FormatError("spectrum CSV has no data rows")
+    entries = {}
     for ln, line in enumerate(lines[1:], start=2):
         tok = line.split(",")
         if len(tok) != 7:
             raise FormatError(f"spectrum CSV line {ln}: expected 7 columns")
         try:
-            entries.append((int(tok[0]), int(tok[1]), float(tok[2]), float(tok[3]),
-                            float(tok[4]), float(tok[5])))
+            k, x = (int(tok[0]), int(tok[1])), [float(t) for t in tok[2:]]
         except ValueError as exc:
             raise FormatError(f"spectrum CSV line {ln}: {exc}") from exc
-    n1 = 1 + max(e[0] for e in entries)
-    n2 = 1 + max(e[1] for e in entries)
+        if min(k) < 0 or k in entries:
+            what = "negative" if min(k) < 0 else "repeated"
+            raise FormatError(f"spectrum CSV line {ln}: {what} index pair (k1, k2) = {k}")
+        if any(map(math.isnan, x)):
+            raise FormatError(f"spectrum CSV line {ln}: NaN value")
+        entries[k] = x[:4]
+    n1 = 1 + max(k1 for k1, _ in entries)
+    n2 = 1 + max(k2 for _, k2 in entries)
     if len(entries) != n1 * n2:
-        raise FormatError(f"spectrum CSV has {len(entries)} rows, expected {n1 * n2}")
+        raise FormatError(f"spectrum CSV has {len(entries)} rows, expected {n1 * n2}: "
+                          "some (k1, k2) pairs are missing")
     vals = np.zeros((n1, n2), dtype=np.complex128)
     lam1 = np.zeros(n1)
     lam2 = np.zeros(n2)
-    for k1, k2, l1, l2, re, im in entries:
+    for (k1, k2), (l1, l2, re, im) in entries.items():
         vals[k1, k2] = complex(re, im)
         lam1[k1] = l1
         lam2[k2] = l2

@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from mdgsp import (
+    DimensionError,
+    FormatError,
+    GraphError,
+    KernelError,
+    MdgspError,
+    SamplingError,
+    SpectrumError,
     load_graph,
     load_signal,
     load_spectrum,
@@ -15,6 +22,8 @@ from mdgsp import (
     standard_graph,
     total_directional_variation,
 )
+from mdgsp import test_directional_stationarity as directional_report
+from mdgsp import test_fgw_stationarity as fgw_report
 from mdgsp.cli import main
 from helpers import laplacian_basis, traced_peak_mb
 
@@ -284,7 +293,16 @@ def test_streamed_sample_dump_equals_np_save(workdir, monkeypatch, kind, suffix)
         batch = sample_directional(DirectionalProcess(d, coeffs), L1 if d == 1 else L2, 4, 50)
     np.save(workdir / "ref.npy", batch)
     assert (workdir / "x.npy").read_bytes() == (workdir / "ref.npy").read_bytes()
-    assert json.loads((workdir / "r.json").read_text())["out"] == str(out)
+    report = json.loads((workdir / "r.json").read_text())
+    assert report["out"] == str(out)
+    # the CLI test and the library test run one streaming loop: equal to the last bit
+    b1, b2 = (laplacian_basis(load_graph(workdir / g)) for g in ("g1.json", "g2.json"))
+    if kind == "fgw":
+        lib = fgw_report(batch, b1, b2)
+    else:
+        d = 2 if kind == "dir2" else 1
+        lib = directional_report(batch, d, b1 if d == 1 else b2)
+    assert report["tests"][0] == json.loads(json.dumps(lib.to_dict()))
     assert sorted(p.name for p in workdir.glob("*.tmp")) == []
 
 
@@ -581,3 +599,63 @@ def test_valid_thread_count_runs_the_sweep(workdir, monkeypatch, value):
                "--observation", workdir / "f.csv", "--gamma1", "1,2",
                "--out", workdir / "x.csv") == 0
     assert (workdir / "x-g1_1-g2_0.csv").exists() and (workdir / "x-g1_2-g2_0.csv").exists()
+
+
+# each error class: its exit code and the slug of its "error[...]" prefix
+@pytest.mark.parametrize("cls, code, slug", [
+    (FormatError, 3, "format"),
+    (GraphError, 3, "graph"),
+    (DimensionError, 4, "dimension-mismatch"),
+    (MemoryError, 6, "allocation"),
+    (KernelError, 7, "kernel"),
+    (SpectrumError, 7, "spectrum"),
+    (SamplingError, 7, "sampling"),
+    (MdgspError, 3, "internal"),
+])
+def test_error_class_sets_exit_code_and_slug(workdir, monkeypatch, capsys, cls, code, slug):
+    import mdgsp.cli as cli
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_product", fail)
+    out = workdir / "p.json"
+    assert run("product", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--out", out) == code
+    assert capsys.readouterr().err == f"mdgsp: error[{slug}]: boom\n"
+    assert not out.exists() and not (workdir / "p.json.manifest.json").exists()
+
+
+SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power\n"
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("", id="header-only"),
+    pytest.param("0,0,0,0,1.0,0,1\n1,0,1,0,nan,0,nan\n", id="nan"),
+    pytest.param("0,0,0,0,1,0,1\n0,0,0,0,1,0,1\n1,1,1,1,2,0,4\n1,1,1,1,2,0,4\n",
+                 id="repeated-pairs"),
+    pytest.param("0,0,0,0,1,0,1\n0,-1,0,0,1,0,1\n", id="negative-index"),
+])
+def test_render_rejects_a_malformed_spectrum(workdir, capsys, body):
+    (workdir / "s.csv").write_text(SPECTRUM_HEADER + body)
+    svg = workdir / "s.svg"
+    assert run("render", "--spectrum", workdir / "s.csv", "--svg", svg) == 3
+    assert capsys.readouterr().err.startswith("mdgsp: error[format]: spectrum CSV ")
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("", id="empty"),
+    pytest.param("1,2,3,4\n1,2,3\n1,2,3,4\n", id="ragged"),
+    pytest.param("1,2,3,4\n1,2,3,4\n1,2,?,4\n", id="bad-token"),
+    pytest.param("1,2,3,4\n1,2,inf,4\n1,2,3,4\n", id="non-finite"),
+])
+def test_gft_rejects_a_malformed_signal(workdir, capsys, text):
+    (workdir / "bad.csv").write_text(text)
+    out = workdir / "s.csv"
+    assert run("gft", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--signal", workdir / "bad.csv", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[format]: signal CSV ")
+    assert ("line 3" in err) == (text.count("?") == 1)
+    assert not out.exists()

@@ -380,6 +380,33 @@ def test_sign_rule_matches_column_loop():
         assert np.array_equal(eigenbasis(L, "laplacian").vectors, ref_sign_rule(L))
 
 
+def ref_eigenbasis(m, source):
+    values = np.linalg.eigh(np.asarray(m, dtype=np.float64))[0]
+    values = values[np.argsort(values, kind="stable")].copy()
+    if source == "laplacian":
+        values[np.abs(values) <= 1e-10] = 0.0
+    return values, ref_sign_rule(m)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigenbasis_equals_the_sorted_copied_route(seed):
+    # eigh's output is already ascending and owned, so eigenbasis neither
+    # sorts nor copies it; ties (cycle, complete graph) keep eigh's order
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((40, 40))
+    cases = [(a + a.T, "adjacency"), (matrices(random_connected_graph(rng, 25)).L, "laplacian"),
+             (matrices(standard_graph("cycle", 12)).L, "laplacian"),
+             (matrices(standard_graph("complete", 9)).L, "laplacian"),
+             (matrices(standard_graph("cycle", 12)).W, "adjacency")]
+    for m, source in cases:
+        b = eigenbasis(m, source)
+        values, vectors = ref_eigenbasis(m, source)
+        assert np.array_equal(b.values, values) and np.array_equal(b.vectors, vectors)
+        for got in (b.values, b.vectors):
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert got.flags.c_contiguous
+
+
 # ---------------------------------------------------------------- SVG title
 
 

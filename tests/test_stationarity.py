@@ -671,7 +671,6 @@ def test_samplers_reuse_precomputed_bases(p3p4, monkeypatch):
            sample_multivariate(Hs, L1, 6, 20, basis=b1)]
     for g, e in zip(got, expected):
         assert isinstance(g, np.ndarray) and np.array_equal(g, e)
-    assert sample_fgw(fgw, L1, L2, 3, 20, check=False).shape == (20, 3, 4)
 
 
 def test_precomputed_bases_still_feed_the_path_check(p3p4):

@@ -7,6 +7,8 @@ from helpers import distinct_spectrum_graph, laplacian_basis, random_graph
 
 from mdgsp import (
     DimensionError,
+    FormatError,
+    Spectrum2D,
     SpectrumError,
     adjacency_gft_2d,
     aggregate_to_1d,
@@ -28,6 +30,7 @@ from mdgsp import (
     save_spectrum,
     standard_graph,
 )
+from mdgsp.transforms import signal_from_csv, spectrum_from_csv, spectrum_to_csv
 
 
 def test_gft_1d_constant_on_connected_graph():
@@ -289,3 +292,64 @@ def test_signal_and_spectrum_csv_round_trip(tmp_path):
     assert np.array_equal(s2.values, s.values)
     assert np.array_equal(s2.lambdas1, s.lambdas1)
     assert np.array_equal(s2.lambdas2, s.lambdas2)
+
+
+SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power\n"
+
+
+def spectrum_rows(*rows):
+    return SPECTRUM_HEADER + "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+
+GRID_2X2 = [(0, 0, 0.0, 0.0, 1.0, 0.0, 1.0), (0, 1, 0.0, 2.0, 2.0, 0.0, 4.0),
+            (1, 0, 1.0, 0.0, 3.0, 0.0, 9.0), (1, 1, 1.0, 2.0, 4.0, 0.0, 16.0)]
+
+
+def test_spectrum_reader_reads_a_full_grid():
+    s = spectrum_from_csv(spectrum_rows(*GRID_2X2[::-1]))  # row order does not matter
+    assert np.array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(s.lambdas1, [0.0, 1.0]) and np.array_equal(s.lambdas2, [0.0, 2.0])
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(SPECTRUM_HEADER, "no data rows", id="header-only"),
+    pytest.param(spectrum_rows(GRID_2X2[0], GRID_2X2[0], GRID_2X2[3], GRID_2X2[3]),
+                 "line 3: repeated", id="repeated-pairs"),
+    pytest.param(spectrum_rows(GRID_2X2[0], GRID_2X2[3]), "pairs are missing", id="diagonal"),
+    pytest.param(spectrum_rows(*GRID_2X2[:3]), "pairs are missing", id="last-missing"),
+    pytest.param(spectrum_rows((-1, 0, 0.0, 0.0, 1.0, 0.0, 1.0), *GRID_2X2),
+                 "line 2: negative", id="negative-k1"),
+    pytest.param(spectrum_rows(GRID_2X2[0], (0, -1, 0.0, 0.0, 1.0, 0.0, 1.0)),
+                 "line 3: negative", id="negative-k2"),
+] + [
+    pytest.param(spectrum_rows(*GRID_2X2[:2], GRID_2X2[2][:col] + ("nan",) + GRID_2X2[2][col + 1:],
+                               GRID_2X2[3]), "line 4: NaN", id=f"nan-{name}")
+    for col, name in enumerate(SPECTRUM_HEADER.strip().split(",")) if col >= 2
+])
+def test_spectrum_reader_rejects_incomplete_grids_and_nan(text, message):
+    with pytest.raises(FormatError, match=message):
+        spectrum_from_csv(text)
+
+
+def test_spectrum_reader_keeps_infinite_values():
+    # the writer prints an overflowing power as inf; an infinite value reads back as such
+    s = Spectrum2D(values=np.array([[1e200, 1.0], [-np.inf, 2.0]]),
+                   lambdas1=np.array([0.0, 1.0]), lambdas2=np.array([0.0, 3.0]))
+    text = spectrum_to_csv(s)
+    assert ",inf\n" in text
+    back = spectrum_from_csv(text)
+    assert np.array_equal(back.values, s.values)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("", "empty", id="empty"),
+    pytest.param("\n \n", "empty", id="blank-lines"),
+    pytest.param("1.0,2.0\n3.0\n", "inconsistent lengths", id="ragged"),
+    pytest.param("1.0,2.0\n3.0,4.0\n5.0,x\n", "line 3: could not convert", id="bad-token"),
+    pytest.param("1.0,2.0\n3.0,nan\n", "non-finite", id="nan"),
+    pytest.param("1.0,inf\n3.0,4.0\n", "non-finite", id="inf"),
+    pytest.param("1.0,2.0\n-inf,4.0\n", "non-finite", id="minus-inf"),
+])
+def test_signal_reader_rejects_malformed_text(text, message):
+    with pytest.raises(FormatError, match=message):
+        signal_from_csv(text)
