@@ -287,26 +287,26 @@ def _npy_rows(path: str | None, shape: tuple[int, ...]):
 
 def cmd_stationarity(args) -> int:
     L1 = matrices(load_graph(args.g1)).L
-    b1 = eigenbasis(L1, "laplacian")
     coeffs = _load_coeffs(args.coeffs, args.kind)
-    L2 = b2 = None
+    L2 = None
     if args.kind != "mv":
         if not args.g2:
             what = "fgw" if args.kind == "fgw" else "directional"
             raise FormatError(f"{what} stationarity needs --g2")
         L2 = matrices(load_graph(args.g2)).L
-        b2 = eigenbasis(L2, "laplacian")
 
-    # the same chunks feed the sample dump and the covariance of the test
+    # the same chunks feed the sample dump and the covariance of the test; only the
+    # factors the process is polynomial in are decomposed
     if args.kind == "fgw":
         chunks = _fgw_chunks(FgwProcess(kernel=PolyKernel2D(H=coeffs)), L1, L2, args.seed,
-                             args.samples, distribution=args.distribution, b1=b1, b2=b2)
+                             args.samples, distribution=args.distribution,
+                             b1=eigenbasis(L1, "laplacian"), b2=eigenbasis(L2, "laplacian"))
     else:
         direction = 2 if args.kind == "dir2" else 1  # mv is direction-1 sampling
-        L, basis = (L1, b1) if direction == 1 else (L2, b2)
+        L = L1 if direction == 1 else L2
         chunks = _directional_chunks(DirectionalProcess(direction=direction, Hs=coeffs), L,
                                      args.seed, args.samples, distribution=args.distribution,
-                                     basis=basis)
+                                     basis=eigenbasis(L, "laplacian"))
 
     payload: dict = {
         "kind": args.kind,

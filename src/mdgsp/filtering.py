@@ -6,7 +6,8 @@ indices, so coincident eigenvalues automatically receive equal responses
 and filtering is basis-invariant inside degenerate eigenspaces.
 
 Vertex-domain polynomial evaluation, here and in the stationarity samplers,
-has one core: `_poly_apply`.
+has one core: `_poly_apply`. Every polynomial evaluator runs only up to the
+last nonzero coefficient (`_true_degree`), so zero padding costs nothing.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class PolyKernel2D:
         return self.H.shape[0] - 1, self.H.shape[1] - 1
 
     def as_spectral(self) -> SpectralKernel2D:
-        H = self.H
+        H = _true_degree(_true_degree(self.H, 0), 1)
 
         def func(l1, l2):
             p1 = np.power(l1[..., None], np.arange(H.shape[0]))  # (..., S1+1)
@@ -161,8 +162,25 @@ def polynomial_filter_vertex(f: Signal2D, kernel: PolyKernel2D,
     return _poly_apply(L1, f.astype(np.float64), _right_stack(kernel.H, L2), axis=0)
 
 
+def _true_degree(C: np.ndarray, axis: int) -> np.ndarray:
+    """C without its trailing all-zero slices along `axis`; at least one slice stays.
+
+    A skipped term is exactly +-0, or NaN where a padded power of L overflows.
+    A loop that adds terms one at a time to a sum starting at +0.0 (`_poly_apply`)
+    gives the same bits without them. A contraction inside BLAS (`_right_stack`)
+    gives the bits of the unpadded coefficients, which may differ in the last
+    place from the padded ones, since BLAS can pick its summation order by length.
+    """
+    C = np.asarray(C)
+    nonzero = np.flatnonzero(C.any(axis=tuple(a for a in range(C.ndim) if a != axis)))
+    count = nonzero[-1] + 1 if nonzero.size else 1
+    return C[(slice(None),) * axis + (slice(count),)]
+
+
 def _right_stack(H: np.ndarray, L2: np.ndarray) -> np.ndarray:
-    """R[s1] = sum_{s2} H[s1, s2] L2^s2, stacked as (S1+1, n2, n2)."""
+    """R[s1] = sum_{s2} H[s1, s2] L2^s2, stacked as (S1+1, n2, n2); powers of L2 are
+    formed only up to the last nonzero column of H."""
+    H = _true_degree(H, 1)
     pows = np.empty((H.shape[1],) + L2.shape)
     pows[0] = np.eye(L2.shape[0])
     for s in range(1, H.shape[1]):
@@ -173,8 +191,10 @@ def _right_stack(H: np.ndarray, L2: np.ndarray) -> np.ndarray:
 def _poly_apply(L: np.ndarray, Z: np.ndarray, R: np.ndarray, axis: int) -> np.ndarray:
     """The polynomial core: sum_s L^s Z R[s] (axis 0) or sum_s R[s] Z L^s (axis 1).
 
-    Z is one (n1, n2) signal or a (count, n1, n2) batch; powers of L are never formed.
+    Z is one (n1, n2) signal or a (count, n1, n2) batch; powers of L are never formed,
+    and the sum stops at the last nonzero R[s].
     """
+    R = _true_degree(R, 0)
     X = np.zeros_like(Z)
     for s, r in enumerate(R):
         if s > 0:

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, SamplingError
-from .filtering import PolyKernel2D, _poly_apply, _right_stack
+from .filtering import PolyKernel2D, _poly_apply, _right_stack, _true_degree
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, vandermonde
 from .transforms import _analyze, _synthesize
 
@@ -132,8 +132,8 @@ class FgwProcess:
     kernel: PolyKernel2D
 
     def gains(self, b1: EigenBasis, b2: EigenBasis) -> np.ndarray:
-        """Per-frequency spectral gain matrix Psi1 H Psi2^T."""
-        H = self.kernel.H
+        """Per-frequency spectral gain matrix Psi1 H Psi2^T, to the true degrees of H."""
+        H = _true_degree(_true_degree(self.kernel.H, 0), 1)
         psi1 = vandermonde(b1.values, H.shape[0])
         psi2 = vandermonde(b2.values, H.shape[1])
         return psi1 @ H @ psi2.T
@@ -159,9 +159,11 @@ class DirectionalProcess:
         object.__setattr__(self, "Hs", Hs)
 
     def half_gains(self, basis: EigenBasis) -> np.ndarray:
-        """Stack of per-frequency matrices Htilde_k = sum_s lambda_k^s H_s."""
-        psi = vandermonde(basis.values, self.Hs.shape[0])
-        return np.tensordot(psi, self.Hs, axes=(1, 0))  # (n, k, k)
+        """Stack of per-frequency matrices Htilde_k = sum_s lambda_k^s H_s, summed only
+        up to the last nonzero H_s."""
+        Hs = _true_degree(self.Hs, 0)
+        psi = vandermonde(basis.values, Hs.shape[0])
+        return np.tensordot(psi, Hs, axes=(1, 0))  # (n, k, k)
 
 
 @dataclass(frozen=True)
@@ -402,7 +404,7 @@ def _directional_chunks(proc: DirectionalProcess, L: np.ndarray, seed: int, coun
     spectra = partial(half_spectra_of, basis=basis, direction=d)
 
     def spectral(Z):
-        return _synthesize(np.einsum(subscripts, spectra(Z), gains), basis, d)
+        return _synthesize(np.einsum(subscripts, spectra(Z), gains, optimize=True), basis, d)
 
     return _SampleChunks(noise, count, lambda Z: _poly_apply(L, Z, Hs, axis=d - 1), spectral,
                          "directional sampler", spectra, (d,))

@@ -14,7 +14,7 @@ grouping sum frequencies.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, starmap
 from pathlib import Path
@@ -302,13 +302,18 @@ def signal_to_csv(f: Signal2D) -> str:
     return "".join(_signal_lines(f))
 
 
-def signal_from_csv(text: str) -> Signal2D:
-    rows = []
-    for ln, line in enumerate(text.strip().splitlines(), start=1):
-        try:
-            rows.append([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise FormatError(f"signal CSV line {ln}: {exc}") from exc
+def _signal_row(ln: int, line: str) -> np.ndarray:
+    """One signal CSV line as a float row; FormatError naming line `ln` if it does not parse."""
+    try:
+        return np.array([float(tok) for tok in line.split(",")])
+    except ValueError as exc:
+        raise FormatError(f"signal CSV line {ln}: {exc}") from exc
+
+
+def _signal_from_lines(lines: Iterable[str]) -> Signal2D:
+    """The signal whose CSV lines (blank ends already dropped) are `lines`, parsed one
+    row at a time, so no copy of the whole text is needed."""
+    rows = list(starmap(_signal_row, enumerate(lines, start=1)))
     if not rows:
         raise FormatError("signal CSV is empty")
     width = len(rows[0])
@@ -318,6 +323,34 @@ def signal_from_csv(text: str) -> Signal2D:
     if not np.all(np.isfinite(f)):
         raise FormatError("signal CSV has non-finite entries")
     return f
+
+
+def signal_from_csv(text: str) -> Signal2D:
+    return _signal_from_lines(text.strip().splitlines())
+
+
+def _stripped_lines(physical: Iterable[str]) -> Iterator[str]:
+    """`text.strip().splitlines()` one line at a time, where `text` joins `physical`.
+
+    Blank lines are held back until a nonblank one follows, so trailing ones are
+    dropped; the first nonblank line loses its leading whitespace, the last its
+    trailing whitespace.
+    """
+    last, blank = None, []
+    for line in chain.from_iterable(map(str.splitlines, physical)):
+        if not line.strip():
+            if last is not None:
+                blank.append(line)
+            continue
+        if last is None:
+            line = line.lstrip()
+        else:
+            yield last
+            yield from blank
+            blank.clear()
+        last = line
+    if last is not None:
+        yield last.rstrip()
 
 
 def _write_chunks(chunks: Iterator[str], path: str | Path) -> None:
@@ -332,7 +365,9 @@ def save_signal(f: Signal2D, path: str | Path) -> None:
 
 
 def load_signal(path: str | Path) -> Signal2D:
-    return signal_from_csv(Path(path).read_text())
+    """`signal_from_csv` of a file, read line by line."""
+    with open(path) as physical:
+        return _signal_from_lines(_stripped_lines(physical))
 
 
 def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
@@ -369,13 +404,15 @@ def _power(re: float, im: float) -> float:
 
 def spectrum_from_csv(text: str) -> Spectrum2D:
     """Read `spectrum_to_csv` text. Every (k1, k2) pair of the index grid must appear
-    exactly once, and no value may be NaN (an overflowing power is written as inf)."""
+    exactly once, every row of one k1 (k2) must give the same lambda1 (lambda2), and no
+    value may be NaN (an overflowing power is written as inf)."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "k1,k2,lambda1,lambda2,re,im,power":
         raise FormatError("spectrum CSV missing expected header")
     if len(lines) == 1:
         raise FormatError("spectrum CSV has no data rows")
     entries = {}
+    lams = ({}, {})  # k1 -> lambda1, k2 -> lambda2, as first read
     for ln, line in enumerate(lines[1:], start=2):
         tok = line.split(",")
         if len(tok) != 7:
@@ -389,19 +426,22 @@ def spectrum_from_csv(text: str) -> Spectrum2D:
             raise FormatError(f"spectrum CSV line {ln}: {what} index pair (k1, k2) = {k}")
         if any(map(math.isnan, x)):
             raise FormatError(f"spectrum CSV line {ln}: NaN value")
-        entries[k] = x[:4]
-    n1 = 1 + max(k1 for k1, _ in entries)
-    n2 = 1 + max(k2 for _, k2 in entries)
+        for d, (kd, lam, seen) in enumerate(zip(k, x, lams), start=1):
+            # the writer prints one repr per eigenvalue, so rows agree exactly
+            if seen.setdefault(kd, lam) != lam:
+                raise FormatError(f"spectrum CSV line {ln}: lambda{d} = {lam!r} for k{d} = {kd}, "
+                                  f"but an earlier row gives {seen[kd]!r}")
+        entries[k] = complex(x[2], x[3])
+    n1 = 1 + max(lams[0])
+    n2 = 1 + max(lams[1])
     if len(entries) != n1 * n2:
         raise FormatError(f"spectrum CSV has {len(entries)} rows, expected {n1 * n2}: "
                           "some (k1, k2) pairs are missing")
     vals = np.zeros((n1, n2), dtype=np.complex128)
-    lam1 = np.zeros(n1)
-    lam2 = np.zeros(n2)
-    for (k1, k2), (l1, l2, re, im) in entries.items():
-        vals[k1, k2] = complex(re, im)
-        lam1[k1] = l1
-        lam2[k2] = l2
+    for (k1, k2), z in entries.items():
+        vals[k1, k2] = z
+    lam1 = np.array([lams[0][k1] for k1 in range(n1)])
+    lam2 = np.array([lams[1][k2] for k2 in range(n2)])
     if np.all(vals.imag == 0.0):
         vals = vals.real
     return Spectrum2D(values=vals, lambdas1=lam1, lambdas2=lam2)

@@ -16,7 +16,9 @@ from mdgsp import (
     load_graph,
     load_signal,
     load_spectrum,
+    DirectionalProcess,
     matrices,
+    sample_directional,
     save_graph,
     save_signal,
     standard_graph,
@@ -135,6 +137,45 @@ def test_filter_command_polynomial(workdir):
     assert np.abs(load_signal(out) - L1 @ f).max() < 1e-10
 
 
+def test_filter_padded_polynomial_writes_the_same_bytes(tmp_path):
+    # trailing zero coefficients are never evaluated, whatever the padding
+    save_graph(standard_graph("path", 12), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", 9), tmp_path / "g2.json")
+    save_signal(np.random.default_rng(3).standard_normal((12, 9)), tmp_path / "f.csv")
+    H = np.array([[0.5, 0.2, 0.01], [0.3, -0.1, 0.0]])
+    outputs = []
+    for name, coeffs in [("plain", H), ("rows", np.pad(H, ((0, 10), (0, 0)))),
+                         ("columns", np.pad(H, ((0, 0), (0, 6)))),
+                         ("both", np.pad(H, ((0, 10), (0, 6))))]:
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({"kind": "polynomial", "coeffs": coeffs.tolist()}))
+        out = tmp_path / f"{name}.csv"
+        assert run("filter", "--g1", tmp_path / "g1.json", "--g2", tmp_path / "g2.json",
+                   "--signal", tmp_path / "f.csv", "--kernel", tmp_path / f"{name}.json",
+                   "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1:] == outputs[:1] * 3
+
+
+def test_stationarity_synthesizes_a_degree_one_process_on_a_long_path(tmp_path):
+    # 600 coefficient matrices, all zero after H_1: the padded powers of the path
+    # Laplacian overflow, so only the true degree may be evaluated
+    Hs = np.zeros((600, 2, 2))
+    Hs[0] = [[1.0, 0.2], [0.0, 1.0]]
+    Hs[1] = [[0.3, 0.0], [0.1, -0.2]]
+    save_graph(standard_graph("path", 600), tmp_path / "g1.json")
+    save_graph(standard_graph("path", 2), tmp_path / "g2.json")
+    (tmp_path / "c.json").write_text(json.dumps({"hs": Hs.tolist()}))
+    out = tmp_path / "x.npy"
+    assert run("stationarity", "--mode", "synthesize", "--kind", "dir1",
+               "--g1", tmp_path / "g1.json", "--g2", tmp_path / "g2.json",
+               "--coeffs", tmp_path / "c.json", "--samples", 40, "--seed", 5,
+               "--out", out, "--report", tmp_path / "r.json") == 0
+    L = matrices(standard_graph("path", 600)).L
+    want = sample_directional(DirectionalProcess(1, Hs), L, 5, 40)
+    assert np.array_equal(np.load(out), want) and np.isfinite(want).all()
+
+
 def test_denoise_pipeline_reduces_both_variations(workdir):
     rng = np.random.default_rng(5)
     g1 = standard_graph("path", 3)
@@ -217,8 +258,8 @@ def test_stationarity_multivariate_kind(workdir, tmp_path):
 
 @pytest.mark.parametrize("kind, coeffs, calls", [
     ("fgw", {"h": [[1.0, 0.2], [0.1, 0.0]]}, 2),
-    ("dir1", {"hs": (0.3 * np.arange(48).reshape(3, 4, 4) / 48).tolist()}, 2),
-    ("dir2", {"hs": (0.3 * np.arange(36).reshape(4, 3, 3) / 36).tolist()}, 2),
+    ("dir1", {"hs": (0.3 * np.arange(48).reshape(3, 4, 4) / 48).tolist()}, 1),
+    ("dir2", {"hs": (0.3 * np.arange(36).reshape(4, 3, 3) / 36).tolist()}, 1),
     ("mv", {"hs": (0.3 * np.arange(12).reshape(3, 2, 2) / 12).tolist()}, 1),
 ])
 def test_stationarity_diagonalizes_each_factor_once(workdir, monkeypatch, kind, coeffs, calls):
@@ -635,6 +676,10 @@ SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power\n"
     pytest.param("0,0,0,0,1,0,1\n0,0,0,0,1,0,1\n1,1,1,1,2,0,4\n1,1,1,1,2,0,4\n",
                  id="repeated-pairs"),
     pytest.param("0,0,0,0,1,0,1\n0,-1,0,0,1,0,1\n", id="negative-index"),
+    pytest.param("0,0,0.0,0,1,0,1\n0,1,7.5,1,2,0,4\n1,0,1,0,3,0,9\n1,1,1,1,4,0,16\n",
+                 id="lambda1-disagrees"),
+    pytest.param("0,0,0,0,1,0,1\n0,1,0,1,2,0,4\n1,0,1,0,3,0,9\n1,1,1,3,4,0,16\n",
+                 id="lambda2-disagrees"),
 ])
 def test_render_rejects_a_malformed_spectrum(workdir, capsys, body):
     (workdir / "s.csv").write_text(SPECTRUM_HEADER + body)

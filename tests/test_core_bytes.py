@@ -189,6 +189,49 @@ def test_polynomial_filter_vertex_matches_the_loop(n1, n2, degrees):
     assert same(out, ref_polynomial_filter_vertex(f, H, L1, L2))
 
 
+@pytest.mark.parametrize("n1, n2", [(16, 16), (5, 9)])
+@pytest.mark.parametrize("pad", [(3, 0), (0, 2), (2, 3)])
+def test_polynomial_filter_vertex_skips_trailing_zero_coefficients(n1, n2, pad):
+    # trailing zero rows of H leave the core's sum unchanged, so the untrimmed loop is
+    # the oracle; trailing zero columns shorten the s2 contraction of the right stack,
+    # which runs inside BLAS, whose summation order may depend on the contraction
+    # length, so there the oracle is the unpadded twin
+    rng = np.random.default_rng(n1 + 10 * sum(pad))
+    L1 = matrices(random_connected_graph(rng, n1)).L
+    L2 = matrices(random_connected_graph(rng, n2)).L
+    H = rng.standard_normal((2, 3))
+    f = rng.standard_normal((n1, n2))
+    padded = np.pad(H, ((0, pad[0]), (0, pad[1])))
+    out = polynomial_filter_vertex(f, PolyKernel2D(H=padded), L1, L2)
+    assert same(out, ref_polynomial_filter_vertex(f, np.pad(H, ((0, pad[0]), (0, 0))), L1, L2))
+    full = ref_polynomial_filter_vertex(f, padded, L1, L2)
+    assert np.abs(out - full).max() <= 64 * np.finfo(float).eps * np.abs(full).max()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4)])
+def test_polynomial_filter_vertex_all_zero_kernel(shape):
+    L1 = matrices(standard_graph("path", 6)).L
+    L2 = matrices(standard_graph("cycle", 5)).L
+    f = np.random.default_rng(4).standard_normal((6, 5))
+    out = polynomial_filter_vertex(f, PolyKernel2D(H=np.zeros(shape)), L1, L2)
+    assert same(out, ref_polynomial_filter_vertex(f, np.zeros(shape), L1, L2))
+    assert same(out, np.zeros((6, 5))) and not np.signbit(out).any()
+
+
+@pytest.mark.parametrize("H", [
+    pytest.param(np.array([[1.0, 0.2, 0.0], [0.3, 0.05, 0.0], [0.0, 0.0, 0.0]]), id="padded"),
+    pytest.param(np.array([[0.5, -0.1, 0.02, 0.0, 0.0]]), id="one-row"),
+    pytest.param(np.zeros((4, 3)), id="all-zero"),
+])
+def test_polynomial_kernel_response_matches_the_untrimmed_sum(H):
+    rng = np.random.default_rng(6)
+    l1, l2 = np.sort(4 * rng.random(9)), np.sort(4 * rng.random(7))
+    resp = PolyKernel2D(H=H).as_spectral().evaluate(l1, l2)
+    p1 = np.power(l1[:, None, None], np.arange(H.shape[0]))
+    p2 = np.power(l2[None, :, None], np.arange(H.shape[1]))
+    assert same(np.asarray(resp), np.einsum("...s,st,...t->...", p1, H, p2))
+
+
 def test_polynomial_filter_vertex_integer_signal():
     L1 = matrices(standard_graph("path", 4)).L
     L2 = matrices(standard_graph("cycle", 5)).L
@@ -207,30 +250,56 @@ def grid():
     return matrices(g1).L, matrices(g2).L
 
 
-@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-def test_sample_fgw_matches_the_loop(grid, distribution):
+FGW_H = np.array([[1.0, 0.2, 0.01], [0.3, 0.05, 0.0]])
+
+
+# (H sampled, H of the untrimmed oracle loops): as in the filter, trailing zero columns
+# are checked against the unpadded twin, every other padding against itself
+FGW_PADDINGS = [
+    ("zero-rows", np.pad(FGW_H, ((0, 3), (0, 0))), np.pad(FGW_H, ((0, 3), (0, 0)))),
+    ("zero-columns", np.pad(FGW_H, ((0, 0), (0, 5))), FGW_H),
+    ("padded-to-16x16", np.pad(FGW_H, ((0, 14), (0, 13))), np.pad(FGW_H, ((0, 14), (0, 0)))),
+    ("all-zero", np.zeros((3, 4)), np.zeros((3, 1))),
+]
+
+
+@pytest.mark.parametrize("distribution, H, oracle_H", [
+    pytest.param(dist, FGW_H, FGW_H, id=dist) for dist in DISTRIBUTIONS] + [
+    pytest.param(dist, H, oracle_H, id=f"{dist}-{name}")
+    for name, H, oracle_H in FGW_PADDINGS for dist in DISTRIBUTIONS])
+def test_sample_fgw_matches_the_loop(grid, distribution, H, oracle_H):
     L1, L2 = grid
-    H = np.array([[1.0, 0.2, 0.01], [0.3, 0.05, 0.0]])
     X = sample_fgw(FgwProcess(kernel=PolyKernel2D(H=H)), L1, L2, 11, 3000,
                    distribution=distribution)
     Z = WhiteNoise2D(16, 16, 11, distribution).batch(3000)
-    assert same(X, ref_poly_rows(L1, Z, ref_right_stack(H, L2)))
+    assert same(X, ref_poly_rows(L1, Z, ref_right_stack(oracle_H, L2)))
 
 
-def _coefficients(n, k, seed):
+def _coefficients(n, k, seed, degree=2):
+    """n coefficient matrices, zero after H_degree (all zero for degree -1)."""
     rng = np.random.default_rng(seed)
     Hs = np.zeros((n, k, k))
     Hs[0] = np.eye(k) + 0.3 * rng.standard_normal((k, k))
     Hs[1] = 0.2 * rng.standard_normal((k, k))
     Hs[2] = 0.05 * rng.standard_normal((k, k))
+    for s in range(3, n):
+        Hs[s] = 0.05 * 0.25 ** (s - 2) * rng.standard_normal((k, k))
+    Hs[degree + 1:] = 0.0
     return Hs
 
 
-@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+# degree 2 leaves 13 trailing zero matrices; the oracle loops run over all 16
+DEGREES = [pytest.param(dist, 2, id=dist) for dist in DISTRIBUTIONS] + [
+    pytest.param(dist, degree, id=f"{dist}-{name}")
+    for degree, name in ((0, "degree-0"), (15, "degree-15"), (-1, "all-zero"))
+    for dist in DISTRIBUTIONS]
+
+
+@pytest.mark.parametrize("distribution, degree", DEGREES)
 @pytest.mark.parametrize("direction", [1, 2])
-def test_sample_directional_matches_the_loops(grid, direction, distribution):
+def test_sample_directional_matches_the_loops(grid, direction, distribution, degree):
     L = grid[direction - 1]
-    Hs = _coefficients(16, 4, direction)
+    Hs = _coefficients(16, 4, direction, degree)
     X = sample_directional(DirectionalProcess(direction=direction, Hs=Hs), L, 21, 3000,
                            distribution=distribution)
     if direction == 1:
@@ -241,10 +310,10 @@ def test_sample_directional_matches_the_loops(grid, direction, distribution):
         assert same(X, ref_poly_cols(L, Z, Hs))
 
 
-@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-def test_sample_multivariate_matches_the_loop(grid, distribution):
+@pytest.mark.parametrize("distribution, degree", DEGREES)
+def test_sample_multivariate_matches_the_loop(grid, distribution, degree):
     L = grid[0]
-    Hs = _coefficients(16, 3, 8)
+    Hs = _coefficients(16, 3, 8, degree)
     X = sample_multivariate(Hs, L, 31, 2000, distribution=distribution)
     Z = WhiteNoise2D(16, 3, 31, distribution).batch(2000)
     assert same(X, ref_poly_rows(L, Z, Hs))

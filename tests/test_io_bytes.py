@@ -26,6 +26,7 @@ from mdgsp import (
     gft_2d,
     matrices,
     load_matrix,
+    load_signal,
     save_graph,
     save_matrix,
     save_signal,
@@ -323,6 +324,14 @@ def test_writers_stream_without_building_the_text(tmp_path):
     assert traced_peak_mb(lambda: save_spectrum(s, tmp_path / "s.csv")) < 2
     m = rng.standard_normal((500, 500))  # 2 MB
     assert traced_peak_mb(lambda: save_matrix(m, tmp_path / "m.mat")) < 1
+
+
+def test_signal_reader_streams_the_file(tmp_path):
+    # a 1000 x 100 signal is 0.76 MiB as an array and 2 MB as text
+    f = np.random.default_rng(10).standard_normal((1000, 100))
+    save_signal(f, tmp_path / "f.csv")
+    assert np.array_equal(load_signal(tmp_path / "f.csv"), f)
+    assert traced_peak_mb(lambda: load_signal(tmp_path / "f.csv")) <= 2
 
 
 # ---------------------------------------------------------------- aggregation

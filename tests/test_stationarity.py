@@ -685,3 +685,15 @@ def test_precomputed_bases_still_feed_the_path_check(p3p4):
     with pytest.raises(SamplingError):
         sample_directional(DirectionalProcess(1, np.ones((3, 4, 4))), L1, 3, 5,
                            basis=wrong)
+
+
+def test_degree_one_directional_process_on_a_long_path():
+    # the stack must hold 600 matrices, but only L^0 and L^1 are evaluated: the
+    # padded powers up to L^599 (eigenvalues near 4) overflow, and inf * 0 is NaN
+    L = matrices(standard_graph("path", 600)).L
+    Hs = np.zeros((600, 2, 2))
+    Hs[0] = [[1.0, 0.2], [0.0, 1.0]]
+    Hs[1] = [[0.3, 0.0], [0.1, -0.2]]
+    X = sample_directional(DirectionalProcess(1, Hs), L, 5, 40)
+    Z = WhiteNoise2D(600, 2, 5).batch(40)
+    assert np.array_equal(X, Z @ Hs[0] + (L @ Z) @ Hs[1])

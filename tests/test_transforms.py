@@ -331,6 +331,22 @@ def test_spectrum_reader_rejects_incomplete_grids_and_nan(text, message):
         spectrum_from_csv(text)
 
 
+@pytest.mark.parametrize("rows, message", [
+    pytest.param([GRID_2X2[0], (0, 1, 7.5, 2.0, 2.0, 0.0, 4.0), *GRID_2X2[2:]],
+                 r"line 3: lambda1 = 7\.5 for k1 = 0, but an earlier row gives 0\.0",
+                 id="lambda1"),
+    pytest.param([*GRID_2X2[:3], (1, 1, 1.0, 2.5, 4.0, 0.0, 16.0)],
+                 r"line 5: lambda2 = 2\.5 for k2 = 1, but an earlier row gives 2\.0",
+                 id="lambda2"),
+    pytest.param([*GRID_2X2[:3], (1, 1, 1.0, "2.0000000000000004", 4.0, 0.0, 16.0)],
+                 "line 5: lambda2 = 2.0000000000000004", id="one-ulp"),
+])
+def test_spectrum_reader_rejects_disagreeing_eigenvalues(rows, message):
+    # every row of one k1 (k2) must repeat its lambda1 (lambda2) exactly
+    with pytest.raises(FormatError, match=message):
+        spectrum_from_csv(spectrum_rows(*rows))
+
+
 def test_spectrum_reader_keeps_infinite_values():
     # the writer prints an overflowing power as inf; an infinite value reads back as such
     s = Spectrum2D(values=np.array([[1e200, 1.0], [-np.inf, 2.0]]),
@@ -353,3 +369,37 @@ def test_spectrum_reader_keeps_infinite_values():
 def test_signal_reader_rejects_malformed_text(text, message):
     with pytest.raises(FormatError, match=message):
         signal_from_csv(text)
+
+
+SIGNAL_TEXTS = [
+    "1.0,2.0\n3.0,4.0\n",
+    "\n\n  1.0,2.0\n3.0,4.0 \n\n \n",
+    "1.0,2.0\r\n3.0,4.0\r\n",
+    "1.0,2.0\r3.0,4.0",
+    "1.0,2.0\x0c3.0,4.0\u2028",
+    "\n \n1.0,2.0\n3.0,x\n",  # bad token: line 2 after the dropped blank lines
+    "\n  x,2.0\n3.0,4.0\n",  # the first line loses its leading whitespace
+    "1.0,2.0\n3.0,x \t\n\n",  # the last line loses its trailing whitespace
+    "1.0,2.0\n\n3.0,4.0\n",  # a blank line inside is a bad row
+    "1.0,2.0\n \t\n3.0,4.0\n",
+    "1.0,2.0\n3.0\n\n",
+    "1.0,nan\n",
+    "\n \t\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", SIGNAL_TEXTS)
+def test_signal_file_reader_equals_the_text_reader(tmp_path, text):
+    # load_signal streams the file; values, messages and line numbers match the text reader
+    path = tmp_path / "f.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    outcomes = []
+    for read in (lambda: signal_from_csv(text), lambda: load_signal(path)):
+        try:
+            f = read()
+            outcomes.append((f.shape, f.dtype, f.tobytes()))
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
