@@ -43,7 +43,7 @@ from .errors import (
 from .filtering import PolyKernel2D, float_array, load_kernel
 from .filtering import polynomial_filter_vertex, spectral_filter_2d
 from .graphs import cartesian_product, load_graph, matrices, save_graph
-from .render import spectrum_heatmap_svg
+from .render import save_spectrum_heatmap_svg
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
 from .stationarity import DirectionalProcess, FgwProcess, _directional_chunks, _fgw_chunks
 from .transforms import (
@@ -135,7 +135,7 @@ def cmd_gft(args) -> int:
         s = adjacency_gft_2d(f, b1, b2)
     save_spectrum(s, args.out)
     if args.svg:
-        Path(args.svg).write_text(spectrum_heatmap_svg(s, title=Path(args.signal).name))
+        save_spectrum_heatmap_svg(s, args.svg, title=Path(args.signal).name)
     if args.aggregate_out:
         tol = args.tol_mult
         if tol is None:
@@ -225,9 +225,10 @@ def cmd_variation(args) -> int:
     b1, b2 = _decompose([_factor_matrix(g1), _factor_matrix(g2)])
     f = load_signal(args.signal)
     directions = [1, 2] if args.direction == "both" else [int(args.direction)]
+    spectrum = gft_2d(f, b1, b2)  # one transform serves both directions
     payload = []
     for d in directions:
-        rep = total_directional_variation(f, g1, g2, d, b1, b2)
+        rep = total_directional_variation(f, g1, g2, d, b1, b2, spectrum)
         payload.append({
             "direction": rep.direction,
             "total": rep.total,
@@ -348,7 +349,7 @@ def cmd_bench(args) -> int:
 
 def cmd_render(args) -> int:
     s = load_spectrum(args.spectrum)
-    Path(args.svg).write_text(spectrum_heatmap_svg(s, title=args.title))
+    save_spectrum_heatmap_svg(s, args.svg, title=args.title)
     return 0
 
 

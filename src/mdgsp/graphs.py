@@ -8,6 +8,7 @@ used everywhere downstream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -176,28 +177,60 @@ def build_graph(n: int, weighted_edges: list[tuple[int, int, float]]) -> Graph:
     """Build a graph from an explicit edge list.
 
     Each entry is (i, j, w) with 0 <= i, j < n, i != j, w > 0. The pair
-    {i, j} may appear at most once in either orientation.
+    {i, j} may appear at most once in either orientation. The first entry
+    that breaks a rule is reported, checked in that order.
     """
     if n < 1:
         raise GraphError(f"vertex count must be positive, got {n}")
-    w = np.zeros((n, n), dtype=np.float64)
-    seen: set[tuple[int, int]] = set()
-    for i, j, wt in weighted_edges:
-        i, j = int(i), int(j)
+    edges = list(weighted_edges)
+    if not set(map(len, edges)) <= {3}:
+        raise GraphError("every edge must be an (i, j, w) triple")
+    cols = list(zip(*edges)) or [(), (), ()]
+    ids = [list(map(int, c)) for c in cols[:2]]
+    try:
+        weights = list(map(float, cols[2]))
+    except OverflowError:  # an integer beyond the float range: an invalid weight
+        weights = [_weight(wt) for wt in cols[2]]
+    I, J = (_index_array(c, n) for c in ids)
+    W = np.array(weights, dtype=np.float64)
+    lo, hi = np.minimum(I, J), np.maximum(I, J)
+    bad = (lo < 0) | (hi >= n) | (I == J) | ~np.isfinite(W) | (W <= 0.0)
+    # a repeat is every occurrence of a pair after its first
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(W), dtype=bool)
+    repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    first = np.flatnonzero(bad | repeat)
+    if len(first):
+        k = first[0]
+        i, j, wt = ids[0][k], ids[1][k], weights[k]
         if not (0 <= i < n and 0 <= j < n):
             raise GraphError(f"edge ({i}, {j}) out of range for n={n}")
         if i == j:
             raise GraphError(f"loop edge at vertex {i} not allowed")
-        wt = float(wt)
         if not np.isfinite(wt) or wt <= 0.0:
             raise GraphError(f"edge ({i}, {j}) has nonpositive weight {wt}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise GraphError(f"duplicate edge {key}")
-        seen.add(key)
-        w[i, j] = wt
-        w[j, i] = wt
+        raise GraphError(f"duplicate edge {(min(i, j), max(i, j))}")
+    w = np.zeros((n, n), dtype=np.float64)
+    w[I, J] = W
+    w[J, I] = W
     return Graph(n=n, w=_freeze(w))
+
+
+def _weight(wt) -> float:
+    """float(wt), but an infinity for an integer beyond the float range."""
+    try:
+        return float(wt)
+    except OverflowError:
+        return math.inf if wt > 0 else -math.inf
+
+
+def _index_array(ids: list[int], n: int) -> np.ndarray:
+    """Vertex ids as int64; one beyond int64 (so out of range) becomes -1."""
+    try:
+        return np.array(ids, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        return np.array([v if 0 <= v < n else -1 for v in ids], dtype=np.int64)
 
 
 def standard_graph(kind: str, n: int) -> Graph:
@@ -300,15 +333,22 @@ def graph_from_json(text: str) -> Graph:
         raise FormatError('graph JSON must be an object with keys "n" and "edges"')
     n = payload["n"]
     edges = payload["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if type(n) is not int or not isinstance(edges, list):
         raise FormatError('"n" must be an integer and "edges" a list')
-    triples = []
-    for entry in edges:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise FormatError(f"edge entry {entry!r} is not an [i, j, w] triple")
-        triples.append((entry[0], entry[1], entry[2]))
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}):
+        bad = next(e for e in edges if not (isinstance(e, list) and len(e) == 3))
+        raise FormatError(f"edge entry {bad!r} is not an [i, j, w] triple")
+    # JSON integers for the vertices, JSON numbers for the weights: no
+    # booleans (a bool is an int in Python), strings, nulls or fractions
+    columns = list(zip(*edges)) or [(), (), ()]
+    if not set(map(type, columns[0] + columns[1])) <= {int}:
+        bad = next(e for e in edges if type(e[0]) is not int or type(e[1]) is not int)
+        raise FormatError(f"edge entry {bad!r}: vertex indices must be integers")
+    if not set(map(type, columns[2])) <= {int, float}:
+        bad = next(e for e in edges if type(e[2]) not in (int, float))
+        raise FormatError(f"edge entry {bad!r}: the weight must be a number")
     try:
-        return build_graph(n, triples)
+        return build_graph(n, edges)
     except GraphError as exc:
         raise FormatError(f"graph JSON violates invariants: {exc}") from exc
 

@@ -8,14 +8,20 @@ axis 2 vertical, origin at the lower left).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from pathlib import Path
+
+import numpy as np
+
 from ._colormap import VIRIDIS_256, color_indices
-from .transforms import Spectrum2D
+from .transforms import Spectrum2D, _write_chunks
 
 _CELL = 24
 _MARGIN_LEFT = 64
 _MARGIN_BOTTOM = 40
 _MARGIN_TOP = 16
 _MARGIN_RIGHT = 16
+_CHUNK_ROWS = 64  # factor-1 frequencies whose cells make one chunk of text
 
 
 def _fmt(x: float) -> str:
@@ -29,30 +35,50 @@ def _escape(text: str) -> str:
 
 def spectrum_heatmap_svg(s: Spectrum2D, title: str = "") -> str:
     """Render spectral power as an SVG heatmap string; `title` is XML-escaped."""
-    power = s.power()
-    n1, n2 = power.shape
-    vmax = float(power.max())
+    return "".join(spectrum_heatmap_chunks(s, title))
+
+
+def save_spectrum_heatmap_svg(s: Spectrum2D, path: str | Path, title: str = "") -> None:
+    """Write `spectrum_heatmap_svg(s, title)` chunk by chunk."""
+    _write_chunks(spectrum_heatmap_chunks(s, title), path)
+
+
+def spectrum_heatmap_chunks(s: Spectrum2D, title: str = "") -> Iterator[str]:
+    """The text of `spectrum_heatmap_svg` in chunks of whole lines: the header, the
+    cells of `_CHUNK_ROWS` factor-1 frequencies at a time, then the axis labels.
+
+    Power is computed a block of rows at a time (twice: once for the colour scale),
+    so neither the power matrix nor the text is ever held whole.
+    """
+    n1, n2 = s.shape
+    blocks = [slice(a, a + _CHUNK_ROWS) for a in range(0, n1, _CHUNK_ROWS)] or [slice(0, 0)]
+    vmax = float(np.max([s.power(rows).max() for rows in blocks]))
     width = _MARGIN_LEFT + n1 * _CELL + _MARGIN_RIGHT
     height = _MARGIN_TOP + n2 * _CELL + _MARGIN_BOTTOM
 
-    out = [
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     if title:
-        out.append(
+        head.append(
             f'<text x="{_MARGIN_LEFT}" y="12" font-family="monospace" font-size="10">'
             f"{_escape(title)}</text>"
         )
-    colors = color_indices(power, vmax).tolist()
+    yield _lines(head)
     cell_y = [f'{_MARGIN_TOP + (n2 - 1 - k2) * _CELL}" width="{_CELL}" height="{_CELL}" fill="'
               for k2 in range(n2)]
-    for k1 in range(n1):
-        head = f'<rect x="{_MARGIN_LEFT + k1 * _CELL}" y="'
-        out += [f'{head}{y}{VIRIDIS_256[c]}"/>' for y, c in zip(cell_y, colors[k1])]
+    for rows in blocks:
+        colors = color_indices(s.power(rows), vmax).tolist()
+        out = []
+        for k1, row in enumerate(colors, start=rows.start):
+            rect = f'<rect x="{_MARGIN_LEFT + k1 * _CELL}" y="'
+            out += [f'{rect}{y}{VIRIDIS_256[c]}"/>' for y, c in zip(cell_y, row)]
+        yield _lines(out)
     # axis tick labels: eigenvalues along each frequency axis
+    out = []
     ybase = _MARGIN_TOP + n2 * _CELL
     for k1 in range(n1):
         x = _MARGIN_LEFT + k1 * _CELL + _CELL // 2
@@ -76,4 +102,8 @@ def spectrum_heatmap_svg(s: Spectrum2D, title: str = "") -> str:
         f"frequency along factor 2</text>"
     )
     out.append("</svg>")
-    return "\n".join(out) + "\n"
+    yield _lines(out)
+
+
+def _lines(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _floattext as ft
 from .errors import FormatError, SpectrumError
 
 TOL_ORTH = 1e-10
@@ -172,17 +173,18 @@ def vandermonde(values: np.ndarray, ncols: int | None = None) -> np.ndarray:
 def float_reprs(a: np.ndarray) -> list[str]:
     """Shortest round-trip text of every entry of a real array, in C order.
 
-    Every CSV writer prints a float as `repr` of the Python float that
-    `tolist()` yields; this applies that to a whole array.
+    This is `repr` of each entry as a Python float, which is how every CSV
+    writer prints a float; like the writers, it formats the array in bulk
+    (`_floattext`), byte for byte the same as calling `repr` on each.
     """
-    return list(map(repr, np.asarray(a, dtype=np.float64).ravel().tolist()))
+    x = np.asarray(a, dtype=np.float64).ravel()
+    return "".join(ft.rows([x])).split("\n")[:-1]
 
 
 def spectrum_to_csv(values: np.ndarray) -> str:
     """CSV (index, eigenvalue) with shortest round-trip float formatting."""
-    lines = ["index,eigenvalue"]
-    lines += [f"{k},{v}" for k, v in enumerate(float_reprs(values))]
-    return "\n".join(lines) + "\n"
+    values = np.asarray(values, dtype=np.float64).ravel()
+    return "index,eigenvalue\n" + "".join(ft.rows([np.arange(len(values)), values]))
 
 
 def save_matrix(m: np.ndarray, path: str | Path) -> None:

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _floattext as ft
 from .errors import DimensionError, FormatError, SpectrumError
-from .spectral import EigenBasis, float_reprs, group_bounds
+from .spectral import EigenBasis, group_bounds
 
 Signal2D = np.ndarray  # real (n1, n2) matrix; validated at function entry
 
@@ -39,10 +40,11 @@ class Spectrum2D:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def power(self) -> np.ndarray:
-        """|value|^2 per entry; inf where the square exceeds the float range."""
+    def power(self, rows: slice = slice(None)) -> np.ndarray:
+        """|value|^2 per entry, of the given rows only if `rows` is passed; inf where
+        the square exceeds the float range."""
         with np.errstate(over="ignore"):
-            return np.abs(self.values) ** 2
+            return np.abs(self.values[rows]) ** 2
 
     def total_power(self) -> float:
         return float(np.sum(self.power()))
@@ -241,11 +243,8 @@ def aggregate_to_1d(s: Spectrum2D, tol_mult: float) -> SpectrumGroup1D:
 
 def aggregate_to_csv(grouped: SpectrumGroup1D) -> str:
     """CSV rows (frequency, power, size) of the 1-D aggregated view."""
-    lines = ["frequency,power,size"]
-    lines += [f"{f!r},{p!r},{k}" for f, p, k in zip(grouped.group_freqs.tolist(),
-                                                   grouped.group_powers.tolist(),
-                                                   grouped.sizes.tolist())]
-    return "\n".join(lines) + "\n"
+    return "frequency,power,size\n" + "".join(
+        ft.rows([grouped.group_freqs, grouped.group_powers, grouped.sizes]))
 
 
 def group_power_2d(s: Spectrum2D, groups1: list[list[int]], groups2: list[list[int]]) -> np.ndarray:
@@ -285,21 +284,41 @@ def inverse_multivariate_gft(fhat: np.ndarray, basis: EigenBasis) -> np.ndarray:
     return _synthesize(fhat, basis, 0)
 
 
-def _signal_lines(f: Signal2D) -> Iterator[str]:
-    """The lines of `signal_to_csv`, one row at a time; f is checked before the first."""
+def _signal_blocks(f: Signal2D) -> Iterator[str]:
+    """The text of `signal_to_csv` in blocks of whole lines (or of one long line's
+    values); f is checked before the first."""
     f = np.asarray(f)
     if f.ndim != 2:
         raise FormatError(f"expected a 2-D signal, got ndim={f.ndim}")
     rows = np.asarray(f, dtype=np.float64)
-    if not len(rows):
-        return iter(["\n"])
-    # repr of a row's float list holds each float's repr
-    return (repr(row.tolist())[1:-1].replace(", ", ",") + "\n" for row in rows)
+    n1, n2 = rows.shape
+    if not n1 or not n2:
+        return iter(["\n" * max(n1, 1)])
+
+    def lines(a: slice, c: slice) -> str:
+        block = rows[a, c]
+        seps = np.full(block.shape[1], ord(","), np.uint8)
+        if c.stop >= n2:
+            seps[-1] = ord("\n")
+        return ft.join(block.shape, [ft.Floats(block.ravel())], [seps])
+
+    return starmap(lines, _grid_slices(n1, n2, 1))
+
+
+def _grid_slices(n1: int, n2: int, per_cell: int) -> Iterator[tuple[slice, slice]]:
+    """(rows, columns) blocks of an n1 x n2 grid in C order: whole rows, or one row's
+    columns if a row holds more than a block; at most `ft.BLOCK // per_cell` cells each."""
+    cells = max(1, ft.BLOCK // per_cell)
+    width = min(n2, cells)
+    step = max(1, cells // n2)
+    for a in range(0, n1, step):
+        for c in range(0, n2, width):
+            yield slice(a, a + step), slice(c, c + width)
 
 
 def signal_to_csv(f: Signal2D) -> str:
     """Plain CSV, n1 rows by n2 columns, shortest round-trip floats."""
-    return "".join(_signal_lines(f))
+    return "".join(_signal_blocks(f))
 
 
 def _signal_row(ln: int, line: str) -> np.ndarray:
@@ -360,8 +379,8 @@ def _write_chunks(chunks: Iterator[str], path: str | Path) -> None:
 
 
 def save_signal(f: Signal2D, path: str | Path) -> None:
-    """Write `signal_to_csv(f)` one row at a time."""
-    _write_chunks(_signal_lines(f), path)
+    """Write `signal_to_csv(f)` one block of rows at a time."""
+    _write_chunks(_signal_blocks(f), path)
 
 
 def load_signal(path: str | Path) -> Signal2D:
@@ -371,35 +390,39 @@ def load_signal(path: str | Path) -> Signal2D:
 
 
 def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
-    """The text of `spectrum_to_csv`: the header, then the lines of one k1 at a time.
+    """The text of `spectrum_to_csv`: the header, then blocks of lines in index order.
 
     s is checked before the first block, so a writer fails before it opens its file.
+    The index and eigenvalue fields of every line come from per-index tables.
     """
-    lam1 = float_reprs(s.lambdas1)
-    lam2 = float_reprs(s.lambdas2)
+    lam1 = np.asarray(s.lambdas1, dtype=np.float64).ravel()
+    lam2 = np.asarray(s.lambdas2, dtype=np.float64).ravel()
     if np.ndim(s.values) != 2 or np.shape(s.values) != (len(lam1), len(lam2)):
         raise DimensionError(f"spectrum values of shape {np.shape(s.values)} do not match "
                              f"{len(lam1)} x {len(lam2)} eigenvalues")
+    n1, n2 = len(lam1), len(lam2)
+    tables = [ft.rendered(col) for col in (ft.Ints(np.arange(n1)), ft.Ints(np.arange(n2)),
+                                           ft.Floats(lam1), ft.Floats(lam2))]
+    seps = [ord(",")] * 6 + [ord("\n")]
 
-    def block(k1: int, row: np.ndarray) -> str:
-        z = row.astype(np.complex128)
-        return "".join(f"{k1},{k2},{lam1[k1]},{lam2[k2]},{r!r},{i!r},{_power(r, i)!r}\n"
-                       for k2, (r, i) in enumerate(zip(z.real.tolist(), z.imag.tolist())))
+    def lines(a: slice, c: slice) -> str:
+        z = np.asarray(s.values[a, c]).astype(np.complex128)
+        re, im = z.real.ravel(), z.imag.ravel()
+        with np.errstate(over="ignore"):
+            # Python's abs(complex) ** 2: libm hypot, then libm pow (not x * x);
+            # inf where the square overflows
+            power = np.float_power(np.hypot(re, im), 2.0)
+        k1, k2, l1, l2 = tables
+        return ft.join(z.shape, [k1[a, None], k2[None, c], l1[a, None], l2[None, c],
+                                 ft.Floats(re), ft.Floats(im), ft.Floats(power)], seps)
 
-    return chain(["k1,k2,lambda1,lambda2,re,im,power\n"], starmap(block, enumerate(s.values)))
+    return chain(["k1,k2,lambda1,lambda2,re,im,power\n"],
+                 starmap(lines, _grid_slices(n1, n2, 3)))
 
 
 def spectrum_to_csv(s: Spectrum2D) -> str:
     """CSV rows (k1, k2, lambda1, lambda2, re, im, power) in index order."""
     return "".join(_spectrum_blocks(s))
-
-
-def _power(re: float, im: float) -> float:
-    """Python's abs(complex) ** 2 (libm pow, not numpy's x * x); inf where it overflows."""
-    try:
-        return abs(complex(re, im)) ** 2
-    except OverflowError:
-        return math.inf
 
 
 def spectrum_from_csv(text: str) -> Spectrum2D:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, MdgspError
 from .graphs import Graph, matrices
 from .spectral import EigenBasis, eigenbasis
-from .transforms import gft_2d
+from .transforms import Spectrum2D, gft_2d
 
 AGREE_RTOL = 1e-8
 
@@ -69,33 +69,38 @@ def local_variation_matrix(f: np.ndarray, g1: Graph, g2: Graph, direction: int) 
 
 def total_directional_variation(f: np.ndarray, g1: Graph, g2: Graph, direction: int,
                                 b1: EigenBasis | None = None,
-                                b2: EigenBasis | None = None) -> DirectionalVariationReport:
+                                b2: EigenBasis | None = None,
+                                spectrum: Spectrum2D | None = None) -> DirectionalVariationReport:
     """Total variation of f along one factor, verified along three routes.
 
     The edge-wise definition, the trace form, and the spectral decomposition
     are all evaluated; a residual above 1e-8 relative indicates a broken
-    basis or mismatched graph and raises.
+    basis or mismatched graph and raises. Only the tested factor's Laplacian
+    is built for the trace form. `spectrum`, if given, is `gft_2d(f, b1, b2)`,
+    so a caller testing both directions transforms f once; without it the
+    bases that are not given are computed.
     """
     local = local_variation_matrix(f, g1, g2, direction)
     total = 0.5 * float(np.sum(local**2))
 
-    L1 = matrices(g1).L
-    L2 = matrices(g2).L
+    L = matrices(g1 if direction == 1 else g2).L
     if direction == 1:
-        trace_total = float(np.trace(f.T @ L1 @ f))
+        trace_total = float(np.trace(f.T @ L @ f))
     else:
-        trace_total = float(np.trace(f @ L2 @ f.T))
+        trace_total = float(np.trace(f @ L @ f.T))
 
-    if b1 is None:
-        b1 = eigenbasis(L1, "laplacian")
-    if b2 is None:
-        b2 = eigenbasis(L2, "laplacian")
-    s = gft_2d(f, b1, b2)
-    p = s.power()
+    if spectrum is None:
+        if b1 is None:
+            b1 = eigenbasis(L if direction == 1 else matrices(g1).L, "laplacian")
+        if b2 is None:
+            b2 = eigenbasis(L if direction == 2 else matrices(g2).L, "laplacian")
+        spectrum = gft_2d(f, b1, b2)
+    del L
+    p = spectrum.power()
     if direction == 1:
-        spectral_total = float(np.sum(b1.values * p.sum(axis=1)))
+        spectral_total = float(np.sum(spectrum.lambdas1 * p.sum(axis=1)))
     else:
-        spectral_total = float(np.sum(b2.values * p.sum(axis=0)))
+        spectral_total = float(np.sum(spectrum.lambdas2 * p.sum(axis=0)))
 
     scale = max(1.0, abs(total))
     if abs(total - trace_total) > AGREE_RTOL * scale:

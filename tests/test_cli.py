@@ -17,6 +17,7 @@ from mdgsp import (
     load_signal,
     load_spectrum,
     DirectionalProcess,
+    gft_2d,
     matrices,
     sample_directional,
     save_graph,
@@ -223,6 +224,24 @@ def test_variation_command(workdir):
     assert {r["direction"] for r in rep["reports"]} == {1, 2}
     for r in rep["reports"]:
         assert r["residual"] <= 1e-8
+
+
+def test_variation_command_transforms_the_signal_once(workdir, monkeypatch):
+    import mdgsp.cli as cli
+    import mdgsp.variation as variation
+
+    calls = []
+
+    def counting_gft(f, b1, b2):
+        calls.append(1)
+        return gft_2d(f, b1, b2)
+
+    monkeypatch.setattr(cli, "gft_2d", counting_gft)
+    monkeypatch.setattr(variation, "gft_2d", counting_gft)
+    assert run("variation", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--signal", workdir / "f.csv", "--direction", "both",
+               "--out", workdir / "var.json", "--local-csv", workdir / "local.csv") == 0
+    assert len(calls) == 1
 
 
 def test_stationarity_synthesize_and_test(workdir):
@@ -459,6 +478,30 @@ def test_exit_codes(workdir):
                "--report", workdir / "r.json") == 7
     # missing file -> 3
     assert run("eig", "--g1", workdir / "missing.json", "--out", workdir / "o.csv") == 3
+
+
+@pytest.mark.parametrize("entry", [
+    [0.7, 1.2, 1.0],  # fractional vertex indices
+    [True, 1, 1.0],
+    [0, 1, True],
+    ["0", 1, 1.0],
+    [0, 1, "1.0"],
+    ["a", 1, 1.0],
+    [0, 1, "x"],
+    [0, 1, None],
+    [0, 1, [1.0]],
+])
+def test_bad_graph_edge_entries_exit_3(workdir, capsys, entry):
+    (workdir / "g.json").write_text(json.dumps({"n": 3, "edges": [[1, 2, 0.5], entry]}))
+    assert run("eig", "--g1", workdir / "g.json", "--out", workdir / "o.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[format]: edge entry ") and "Traceback" not in err
+    assert not (workdir / "o.csv").exists()
+
+
+def test_boolean_vertex_count_exits_3(workdir):
+    (workdir / "g.json").write_text(json.dumps({"n": True, "edges": []}))
+    assert run("eig", "--g1", workdir / "g.json", "--out", workdir / "o.csv") == 3
 
 
 def test_nonconvergence_exit_code(workdir):

@@ -44,6 +44,68 @@ def test_build_rejects_invalid_edges(bad):
         build_graph(3, bad)
 
 
+def ref_first_edge_error(n, weighted_edges):
+    """The message of the first rule an edge list breaks, checked one edge at a time
+    (range, loop, weight, repeat); None if it breaks none. A weight beyond the float
+    range reads as an infinity."""
+    seen = set()
+    for i, j, wt in weighted_edges:
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i}, {j}) out of range for n={n}"
+        if i == j:
+            return f"loop edge at vertex {i} not allowed"
+        try:
+            wt = float(wt)
+        except OverflowError:
+            wt = float("inf") if wt > 0 else float("-inf")
+        if not np.isfinite(wt) or wt <= 0.0:
+            return f"edge ({i}, {j}) has nonpositive weight {wt}"
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            return f"duplicate edge {key}"
+        seen.add(key)
+    return None
+
+
+def test_build_reports_the_first_bad_edge_like_an_edge_loop():
+    rng = np.random.default_rng(12)
+    n = 9
+    faults = [
+        lambda i, j, w: (i, n + int(rng.integers(0, 3)), w),  # out of range
+        lambda i, j, w: (-1, j, w),
+        lambda i, j, w: (10**30, j, w),  # beyond int64
+        lambda i, j, w: (2**62, 2**62 - 1, w),  # its pair key overflows
+        lambda i, j, w: (i, i, w),  # loop
+        lambda i, j, w: (i, j, -w),
+        lambda i, j, w: (i, j, 0.0),
+        lambda i, j, w: (i, j, float("nan")),
+        lambda i, j, w: (i, j, float("inf")),
+        lambda i, j, w: (i, j, 10**400),  # beyond the float range
+        lambda i, j, w: (i, j, -(10**400)),
+        lambda i, j, w: (j, i, w),  # a repeat of itself, reversed
+    ]
+    seen_messages = set()
+    for _ in range(300):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        edges = [(i, j, float(rng.uniform(0.2, 3.0))) for i, j in pairs]
+        for _ in range(int(rng.integers(0, 4))):
+            if not edges:
+                break
+            at = int(rng.integers(0, len(edges)))
+            fault = faults[int(rng.integers(0, len(faults)))]
+            edges.insert(int(rng.integers(at, len(edges) + 1)), fault(*edges[at]))
+        want = ref_first_edge_error(n, edges)
+        if want is None:
+            assert build_graph(n, edges).edge_count == len(edges)
+            continue
+        with pytest.raises(GraphError) as exc:
+            build_graph(n, edges)
+        assert str(exc.value) == want
+        seen_messages.add(want.split()[0] + want.split()[-2])
+    assert len(seen_messages) > 5  # every rule was hit
+
+
 def test_weighted_path_degree():
     # hand sum of incident weights at vertex 1: 0.5 + 2.0
     g = build_graph(4, [(0, 1, 0.5), (1, 2, 2.0), (2, 3, 0.5)])

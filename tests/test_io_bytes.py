@@ -34,7 +34,7 @@ from mdgsp import (
     standard_graph,
 )
 from mdgsp._colormap import VIRIDIS_256
-from mdgsp.render import spectrum_heatmap_svg
+from mdgsp.render import save_spectrum_heatmap_svg, spectrum_heatmap_svg
 from mdgsp.spectral import SIGN_EPS, partition_values
 from mdgsp.spectral import spectrum_to_csv as eig_to_csv
 from mdgsp.transforms import signal_to_csv, spectrum_to_csv
@@ -324,6 +324,31 @@ def test_writers_stream_without_building_the_text(tmp_path):
     assert traced_peak_mb(lambda: save_spectrum(s, tmp_path / "s.csv")) < 2
     m = rng.standard_normal((500, 500))  # 2 MB
     assert traced_peak_mb(lambda: save_matrix(m, tmp_path / "m.mat")) < 1
+
+
+def test_heatmap_chunks_match_the_oracle_across_blocks(tmp_path):
+    # 150 rows span three chunks of cells; the scale's maximum and an overflowing
+    # power sit in the last one
+    rng = np.random.default_rng(13)
+    values = rng.standard_normal((150, 7)) + 1j * rng.standard_normal((150, 7))
+    s = Spectrum2D(values=values, lambdas1=np.sort(rng.random(150)), lambdas2=np.arange(7.0))
+    assert spectrum_heatmap_svg(s, title="f") == ref_heatmap_svg(s, title="f")
+    values[140, 3] = 50.0
+    assert spectrum_heatmap_svg(s) == ref_heatmap_svg(s)
+    values[149, 6] = 1e200  # its power is inf: the top of the scale, the rest at the bottom
+    save_spectrum_heatmap_svg(s, tmp_path / "h.svg")
+    assert (tmp_path / "h.svg").read_text() == spectrum_heatmap_svg(s)
+    assert spectrum_heatmap_svg(s).count(VIRIDIS_256[0]) == 150 * 7 - 1
+
+
+def test_heatmap_writer_streams_the_file(tmp_path):
+    # the 1000 x 100 heatmap is 6.2 MB of text; built whole, the peak was 25.7 MiB
+    rng = np.random.default_rng(9)
+    s = Spectrum2D(values=rng.standard_normal((1000, 100)), lambdas1=np.sort(rng.random(1000)),
+                   lambdas2=np.sort(rng.random(100)))
+    path = tmp_path / "h.svg"
+    assert traced_peak_mb(lambda: save_spectrum_heatmap_svg(s, path, title="f.csv")) < 4
+    assert path.read_text() == spectrum_heatmap_svg(s, title="f.csv")
 
 
 def test_signal_reader_streams_the_file(tmp_path):

@@ -5,9 +5,11 @@ import pytest
 
 from helpers import laplacian_basis, random_graph, traced_peak_mb
 
+import mdgsp.variation as variation_module
 from mdgsp import (
     DimensionError,
     build_graph,
+    gft_2d,
     graph_gradient,
     local_directional_variation,
     local_variation_matrix,
@@ -158,3 +160,30 @@ def test_local_variation_memory_stays_edge_sized():
             local_variation_matrix(f, g1, g2, direction)
 
     assert traced_peak_mb(both_directions) < 10
+
+
+@pytest.mark.parametrize("direction", [1, 2])
+def test_total_variation_builds_only_the_tested_laplacian(monkeypatch, direction):
+    rng = np.random.default_rng(43)
+    g1, g2 = random_graph(rng, 6), random_graph(rng, 5)
+    b1, b2 = laplacian_basis(g1), laplacian_basis(g2)
+    f = rng.standard_normal((6, 5))
+    built = []
+
+    def counting_matrices(g):
+        built.append(g)
+        return matrices(g)
+
+    monkeypatch.setattr(variation_module, "matrices", counting_matrices)
+    rep = total_directional_variation(f, g1, g2, direction, b1, b2)
+    assert len(built) == 1 and built[0] is (g1 if direction == 1 else g2)
+    # a precomputed spectrum gives the very same report
+    again = total_directional_variation(f, g1, g2, direction, b1, b2, gft_2d(f, b1, b2))
+    fields = ("total", "trace_total", "spectral_total", "residual")
+    assert [getattr(again, k) for k in fields] == [getattr(rep, k) for k in fields]
+    assert np.array_equal(again.local, rep.local)
+    # without bases both Laplacians are needed, for the eigendecompositions
+    built.clear()
+    alone = total_directional_variation(f, g1, g2, direction)
+    assert len(built) == 2
+    assert np.isclose(alone.spectral_total, rep.spectral_total, rtol=1e-12)
