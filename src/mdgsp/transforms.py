@@ -308,6 +308,8 @@ def _signal_blocks(f: Signal2D) -> Iterator[str]:
 def _grid_slices(n1: int, n2: int, per_cell: int) -> Iterator[tuple[slice, slice]]:
     """(rows, columns) blocks of an n1 x n2 grid in C order: whole rows, or one row's
     columns if a row holds more than a block; at most `ft.BLOCK // per_cell` cells each."""
+    if not n2:
+        return
     cells = max(1, ft.BLOCK // per_cell)
     width = min(n2, cells)
     step = max(1, cells // n2)

@@ -296,6 +296,12 @@ def test_streamed_spectrum_file_equals_its_text(tmp_path):
     assert spectrum_to_csv(cases[2]).count(",inf\n") == 2
 
 
+def test_spectrum_writer_with_no_columns_writes_the_header(tmp_path):
+    s = Spectrum2D(values=np.zeros((3, 0)), lambdas1=np.arange(3.0), lambdas2=np.zeros(0))
+    save_spectrum(s, tmp_path / "s.csv")
+    assert (tmp_path / "s.csv").read_text() == spectrum_to_csv(s) == ref_spectrum_to_csv(s)
+
+
 def test_spectrum_writer_rejects_a_shape_mismatch_before_writing(tmp_path):
     s = Spectrum2D(values=np.ones((2, 3)), lambdas1=np.zeros(2), lambdas2=np.zeros(2))
     with pytest.raises(DimensionError):
