@@ -48,11 +48,17 @@ def spectrum_heatmap_chunks(s: Spectrum2D, title: str = "") -> Iterator[str]:
     cells of `_CHUNK_ROWS` factor-1 frequencies at a time, then the axis labels.
 
     Power is computed a block of rows at a time (twice: once for the colour scale),
-    so neither the power matrix nor the text is ever held whole.
+    so neither the power matrix nor the text is ever held whole. The scale is found
+    before the first chunk, so a writer fails before it opens its file.
     """
-    n1, n2 = s.shape
+    n1 = s.shape[0]
     blocks = [slice(a, a + _CHUNK_ROWS) for a in range(0, n1, _CHUNK_ROWS)] or [slice(0, 0)]
     vmax = float(np.max([s.power(rows).max() for rows in blocks]))
+    return _heatmap_chunks(s, title, blocks, vmax)
+
+
+def _heatmap_chunks(s: Spectrum2D, title: str, blocks: list[slice], vmax: float) -> Iterator[str]:
+    n1, n2 = s.shape
     width = _MARGIN_LEFT + n1 * _CELL + _MARGIN_RIGHT
     height = _MARGIN_TOP + n2 * _CELL + _MARGIN_BOTTOM
 

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _floattext as ft
 from .errors import FormatError, SpectrumError
 
 TOL_ORTH = 1e-10
@@ -177,12 +176,16 @@ def float_reprs(a: np.ndarray) -> list[str]:
     writer prints a float; like the writers, it formats the array in bulk
     (`_floattext`), byte for byte the same as calling `repr` on each.
     """
+    from . import _floattext as ft  # on first use: see its docstring
+
     x = np.asarray(a, dtype=np.float64).ravel()
     return "".join(ft.rows([x])).split("\n")[:-1]
 
 
 def spectrum_to_csv(values: np.ndarray) -> str:
     """CSV (index, eigenvalue) with shortest round-trip float formatting."""
+    from . import _floattext as ft  # on first use: see its docstring
+
     values = np.asarray(values, dtype=np.float64).ravel()
     return "index,eigenvalue\n" + "".join(ft.rows([np.arange(len(values)), values]))
 

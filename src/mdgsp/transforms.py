@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _floattext as ft
 from .errors import DimensionError, FormatError, SpectrumError
 from .spectral import EigenBasis, group_bounds
 
@@ -243,6 +242,8 @@ def aggregate_to_1d(s: Spectrum2D, tol_mult: float) -> SpectrumGroup1D:
 
 def aggregate_to_csv(grouped: SpectrumGroup1D) -> str:
     """CSV rows (frequency, power, size) of the 1-D aggregated view."""
+    from . import _floattext as ft  # on first use: see its docstring
+
     return "frequency,power,size\n" + "".join(
         ft.rows([grouped.group_freqs, grouped.group_powers, grouped.sizes]))
 
@@ -287,6 +288,8 @@ def inverse_multivariate_gft(fhat: np.ndarray, basis: EigenBasis) -> np.ndarray:
 def _signal_blocks(f: Signal2D) -> Iterator[str]:
     """The text of `signal_to_csv` in blocks of whole lines (or of one long line's
     values); f is checked before the first."""
+    from . import _floattext as ft  # on first use: see its docstring
+
     f = np.asarray(f)
     if f.ndim != 2:
         raise FormatError(f"expected a 2-D signal, got ndim={f.ndim}")
@@ -302,15 +305,14 @@ def _signal_blocks(f: Signal2D) -> Iterator[str]:
             seps[-1] = ord("\n")
         return ft.join(block.shape, [ft.Floats(block.ravel())], [seps])
 
-    return starmap(lines, _grid_slices(n1, n2, 1))
+    return starmap(lines, _grid_slices(n1, n2, ft.BLOCK))
 
 
-def _grid_slices(n1: int, n2: int, per_cell: int) -> Iterator[tuple[slice, slice]]:
-    """(rows, columns) blocks of an n1 x n2 grid in C order: whole rows, or one row's
-    columns if a row holds more than a block; at most `ft.BLOCK // per_cell` cells each."""
+def _grid_slices(n1: int, n2: int, cells: int) -> Iterator[tuple[slice, slice]]:
+    """(rows, columns) blocks of at most `cells` cells of an n1 x n2 grid, in C order:
+    whole rows, or one row's columns if a row holds more."""
     if not n2:
         return
-    cells = max(1, ft.BLOCK // per_cell)
     width = min(n2, cells)
     step = max(1, cells // n2)
     for a in range(0, n1, step):
@@ -397,14 +399,16 @@ def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
     s is checked before the first block, so a writer fails before it opens its file.
     The index and eigenvalue fields of every line come from per-index tables.
     """
+    from . import _floattext as ft  # on first use: see its docstring
+
     lam1 = np.asarray(s.lambdas1, dtype=np.float64).ravel()
     lam2 = np.asarray(s.lambdas2, dtype=np.float64).ravel()
     if np.ndim(s.values) != 2 or np.shape(s.values) != (len(lam1), len(lam2)):
         raise DimensionError(f"spectrum values of shape {np.shape(s.values)} do not match "
                              f"{len(lam1)} x {len(lam2)} eigenvalues")
     n1, n2 = len(lam1), len(lam2)
-    tables = [ft.rendered(col) for col in (ft.Ints(np.arange(n1)), ft.Ints(np.arange(n2)),
-                                           ft.Floats(lam1), ft.Floats(lam2))]
+    k1, k2, l1, l2 = (ft.rendered(col) for col in (ft.Ints(np.arange(n1)), ft.Ints(np.arange(n2)),
+                                                   ft.Floats(lam1), ft.Floats(lam2)))
     seps = [ord(",")] * 6 + [ord("\n")]
 
     def lines(a: slice, c: slice) -> str:
@@ -414,12 +418,11 @@ def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
             # Python's abs(complex) ** 2: libm hypot, then libm pow (not x * x);
             # inf where the square overflows
             power = np.float_power(np.hypot(re, im), 2.0)
-        k1, k2, l1, l2 = tables
         return ft.join(z.shape, [k1[a, None], k2[None, c], l1[a, None], l2[None, c],
                                  ft.Floats(re), ft.Floats(im), ft.Floats(power)], seps)
 
     return chain(["k1,k2,lambda1,lambda2,re,im,power\n"],
-                 starmap(lines, _grid_slices(n1, n2, 3)))
+                 starmap(lines, _grid_slices(n1, n2, ft.BLOCK // 3)))
 
 
 def spectrum_to_csv(s: Spectrum2D) -> str:

@@ -95,7 +95,6 @@ def total_directional_variation(f: np.ndarray, g1: Graph, g2: Graph, direction: 
         if b2 is None:
             b2 = eigenbasis(L if direction == 2 else matrices(g2).L, "laplacian")
         spectrum = gft_2d(f, b1, b2)
-    del L
     p = spectrum.power()
     if direction == 1:
         spectral_total = float(np.sum(spectrum.lambdas1 * p.sum(axis=1)))

@@ -150,9 +150,11 @@ def test_power_column_is_libm_pow_of_hypot_on_a_million_values():
 
 
 def test_importing_the_cli_builds_no_table():
-    # the tables are built on first use, and their exact arithmetic needs neither
-    # fractions nor decimal: starting the CLI must not pay for any of it
+    # the encoder is imported and its tables built on first use, and their exact
+    # arithmetic needs neither fractions nor decimal: starting the CLI pays for none
+    # of it
     code = ("import sys, mdgsp.cli\n"
+            "print('mdgsp._floattext' in sys.modules)\n"
             "from mdgsp import _floattext\n"
             "print(_floattext._tables.cache_info().currsize,"
             " 'fractions' in sys.modules, 'decimal' in sys.modules)\n"
@@ -162,4 +164,4 @@ def test_importing_the_cli_builds_no_table():
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
-    assert out.stdout.split() == ["0", "False", "False", "False", "False"]
+    assert out.stdout.split() == ["False", "0", "False", "False", "False", "False"]
