@@ -72,6 +72,12 @@ _ERRORS = [
 
 EXIT_NONCONVERGENCE = 5
 
+# Commands that write CSV load the float encoder as they start, before their own
+# working set: loaded at the first write instead, its long-lived objects would sit
+# above that working set in the malloc heap and keep it from shrinking, which
+# raised the peak RSS of commands run one after another in one process.
+_WRITES_CSV = {"gft", "filter", "denoise", "variation", "eig"}
+
 
 def _write_manifest(primary_out: str, command: str, args: argparse.Namespace,
                     inputs: list[str], elapsed: float) -> None:
@@ -482,6 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mdgsp: error[usage]: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
+    if args.command in _WRITES_CSV:
+        from . import _floattext  # noqa: F401
     try:
         rc = args.func(args)
     except (MdgspError, MemoryError) as exc:
