@@ -4,10 +4,18 @@ Transforms that keep one frequency axis per factor graph, directional
 variation analysis, 2-D spectral/polynomial/energy-model filtering, and
 factor-graph-wise / directional / multivariate stationarity constructions
 with empirical tests.
+
+MDGSP_THREADS caps the BLAS and OpenMP thread pools: it becomes the default
+of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS here, before
+the first import of numpy, because BLAS reads its thread count once, when
+it is loaded. It has no effect if numpy was loaded before mdgsp.
 """
+
+import os as _os
 
 __version__ = "0.1.0"
 
+# `errors` imports nothing, so numpy is still unloaded after it
 from .errors import (
     DimensionError,
     FormatError,
@@ -16,7 +24,26 @@ from .errors import (
     MdgspError,
     SamplingError,
     SpectrumError,
+    UsageError,
 )
+
+
+def _env_threads() -> int:
+    """MDGSP_THREADS as a count; unset or empty reads 0 (let the CLI choose)."""
+    raw = _os.environ.get("MDGSP_THREADS", "").strip() or "0"
+    if not raw.isdecimal():
+        raise UsageError(f"MDGSP_THREADS must be a nonnegative integer, got {raw!r}")
+    return int(raw)
+
+
+try:
+    _threads = _env_threads()
+except UsageError:
+    _threads = 0  # the CLI rejects the value with exit code 2
+if _threads:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, str(_threads))
+
 from .graphs import (
     Graph,
     GraphMatrices,
@@ -85,7 +112,7 @@ from .filtering import (
     sum_1d_kernel,
     tabulated_kernel,
 )
-from .denoise import EbemParams, SolveReport, ebem_energy, ebem_minimize
+from .denoise import EbemParams, SolveReport, closed_form_sweep, ebem_energy, ebem_minimize
 from .stationarity import (
     CovTensor,
     DiagnosticReport,

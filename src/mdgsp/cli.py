@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Honors MDGSP_THREADS before any numerical library spins up its thread
-pools, dispatches one subcommand per pipeline stage, and writes a run
-manifest next to every primary output. Exit codes are per error class:
+Dispatches one subcommand per pipeline stage and writes a run manifest next
+to every primary output. MDGSP_THREADS caps the BLAS thread pools (the
+package sets them before numpy loads, see `mdgsp`) and the worker count of
+a gradient gamma sweep; a closed-form sweep runs in one loop over one
+spectrum and starts no workers. Exit codes are per error class:
 
     0 success, 2 usage, 3 malformed file or invariant violation on load,
     4 dimension mismatch, 5 solver non-convergence, 6 allocation failure,
@@ -11,15 +13,9 @@ manifest next to every primary output. Exit codes are per error class:
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("MDGSP_THREADS"):
-    _v = os.environ["MDGSP_THREADS"]
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _v)
-
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _env_threads
 from .bench import bench_sizes, equality_check
-from .denoise import EbemParams, ebem_minimize
+from .denoise import EbemParams, closed_form_sweep, ebem_minimize
 from .errors import (
     DimensionError,
     FormatError,
@@ -39,6 +35,7 @@ from .errors import (
     MdgspError,
     SamplingError,
     SpectrumError,
+    UsageError,
 )
 from .filtering import PolyKernel2D, float_array, load_kernel
 from .filtering import polynomial_filter_vertex, spectral_filter_2d
@@ -60,6 +57,7 @@ from .variation import total_directional_variation
 
 # (class, exit code, slug of "mdgsp: error[slug]: ..."); the first isinstance match wins
 _ERRORS = [
+    (UsageError, 2, "usage"),
     (FormatError, 3, "format"),
     (GraphError, 3, "graph"),
     (DimensionError, 4, "dimension-mismatch"),
@@ -170,41 +168,54 @@ def _gamma_list(text: str) -> list[float]:
     return [float(tok) for tok in str(text).split(",") if tok != ""]
 
 
+def _sweep_outputs(out: str, combos: list[tuple[float, float]]) -> list[Path]:
+    """One output path per (gamma1, gamma2); a single solve writes `out` itself.
+
+    Sweep files are named by the gammas' `%g` text, so two gammas that
+    print alike would overwrite each other; such a sweep is refused.
+    """
+    if not combos:
+        raise UsageError("the gamma sweep is empty")
+    base = Path(out)
+    if len(combos) == 1:
+        return [base]
+    paths = [base.with_name(f"{base.stem}-g1_{a:g}-g2_{b:g}{base.suffix}") for a, b in combos]
+    if len(set(paths)) < len(paths):
+        clash = next(p for p in paths if paths.count(p) > 1)
+        raise UsageError(f"gamma sweep writes {clash.name} more than once; "
+                         "give gammas that differ in 6 significant digits")
+    return paths
+
+
 def cmd_denoise(args) -> int:
+    combos = [(a, b) for a in _gamma_list(args.gamma1) for b in _gamma_list(args.gamma2)]
+    out_paths = _sweep_outputs(args.out, combos)
+    sweep = [EbemParams(p=args.p, gamma1=a, gamma2=b, q1=args.q1, q2=args.q2)
+             for a, b in combos]
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
     y = load_signal(args.observation)
-    gammas1 = _gamma_list(args.gamma1)
-    gammas2 = _gamma_list(args.gamma2)
-    combos = [(a, b) for a in gammas1 for b in gammas2]
 
-    b1 = b2 = None
-    quadratic = EbemParams(p=args.p, q1=args.q1, q2=args.q2).all_quadratic
-    if quadratic and not args.force_gradient and any(a or b for a, b in combos):
-        # every regularized solve of the sweep is closed-form in these bases
-        b1 = eigenbasis(matrices(g1).L, "laplacian")
-        b2 = eigenbasis(matrices(g2).L, "laplacian")
+    def reports():
+        if sweep[0].all_quadratic and not args.force_gradient:
+            # one spectrum of y serves every point; each minimizer is written before
+            # the next is computed
+            yield from closed_form_sweep(y, g1, g2, sweep)
+            return
 
-    def solve(combo):
-        a, b = combo
-        params = EbemParams(p=args.p, gamma1=a, gamma2=b, q1=args.q1, q2=args.q2)
-        return ebem_minimize(y, g1, g2, params, max_iter=args.max_iter, tol=args.tol,
-                             force_gradient=args.force_gradient, b1=b1, b2=b2)
+        def solve(params):
+            return ebem_minimize(y, g1, g2, params, max_iter=args.max_iter, tol=args.tol,
+                                 force_gradient=args.force_gradient)
 
-    if len(combos) == 1:
-        reports = [solve(combos[0])]
-    else:
-        workers = _env_threads() or min(len(combos), os.cpu_count() or 1)
+        if len(sweep) == 1:
+            yield solve(sweep[0])
+            return
+        workers = _env_threads() or min(len(sweep), os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(solve, combos))
+            yield from pool.map(solve, sweep)
 
     entries = []
-    base = Path(args.out)
-    for (a, b), rep in zip(combos, reports):
-        if len(combos) == 1:
-            out_path = base
-        else:
-            out_path = base.with_name(f"{base.stem}-g1_{a:g}-g2_{b:g}{base.suffix}")
+    for (a, b), out_path, rep in zip(combos, out_paths, reports(), strict=True):
         save_signal(rep.minimizer, out_path)
         entries.append({
             "gamma1": a,
@@ -219,7 +230,7 @@ def cmd_denoise(args) -> int:
         })
     if args.report:
         _json_out({"solves": entries}, args.report)
-    if not all(rep.converged for rep in reports):
+    if not all(entry["converged"] for entry in entries):
         print("mdgsp: error[nonconvergence]: solver hit max_iter above tolerance", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return 0
@@ -457,14 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_threads() -> int:
-    """MDGSP_THREADS as a count; unset or empty reads 0 (let the CLI choose)."""
-    raw = os.environ.get("MDGSP_THREADS", "").strip() or "0"
-    if not raw.isdecimal():
-        raise ValueError(f"MDGSP_THREADS must be a nonnegative integer, got {raw!r}")
-    return int(raw)
-
-
 def _primary_output(args) -> str | None:
     for attr in ("out", "report", "svg"):
         value = getattr(args, attr, None)
@@ -482,15 +485,11 @@ def _inputs(args) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _env_threads()
-    except ValueError as exc:
-        print(f"mdgsp: error[usage]: {exc}", file=sys.stderr)
-        return 2
     t0 = time.perf_counter()
     if args.command in _WRITES_CSV:
         from . import _floattext  # noqa: F401
     try:
+        _env_threads()  # checked for every command; a gradient sweep reads it later
         rc = args.func(args)
     except (MdgspError, MemoryError) as exc:
         code, slug = next((code, slug) for cls, code, slug in _ERRORS if isinstance(exc, cls))

@@ -12,6 +12,7 @@ descent.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,16 +115,50 @@ def _ebem_gradient(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph,
     return g
 
 
-def _closed_form(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
-                 b1: EigenBasis | None, b2: EigenBasis | None) -> np.ndarray:
-    if b1 is None:
-        b1 = eigenbasis(matrices(g1).L, "laplacian")
-    if b2 is None:
-        b2 = eigenbasis(matrices(g2).L, "laplacian")
-    s = gft_2d(y, b1, b2)
+def _observation(y: np.ndarray, g1: Graph, g2: Graph) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (g1.n, g2.n):
+        raise DimensionError(f"observation shape {y.shape}, expected ({g1.n}, {g2.n})")
+    return y
+
+
+def _filtered(s: Spectrum2D, params: EbemParams) -> Spectrum2D:
     denom = 1.0 + params.gamma1 * s.lambdas1[:, None] + params.gamma2 * s.lambdas2[None, :]
-    xhat = Spectrum2D(values=s.values / denom, lambdas1=s.lambdas1, lambdas2=s.lambdas2)
-    return inverse_gft_2d(xhat, b1, b2)
+    return Spectrum2D(values=s.values / denom, lambdas1=s.lambdas1, lambdas2=s.lambdas2)
+
+
+def closed_form_sweep(y: np.ndarray, g1: Graph, g2: Graph, sweep: Iterable[EbemParams],
+                      b1: EigenBasis | None = None,
+                      b2: EigenBasis | None = None) -> Iterator[SolveReport]:
+    """Closed-form solves of every point of `sweep`, one report at a time.
+
+    Every point must have p = q1 = q2 = 2 or no regularization. The
+    all-quadratic energy is the 2-D spectral filter 1 / (1 + gamma1*l1 +
+    gamma2*l2), so the factors' Laplacian eigenbases (`b1`/`b2`, computed
+    here if not given) and the spectrum of y are computed once, at the
+    first regularized point, and each point divides that spectrum by its
+    own denominator (always >= 1, so the solve never degenerates). A point
+    with both gammas 0 returns a copy of y. Consuming the reports one at a
+    time keeps one minimizer alive, not one per point.
+    """
+    y = _observation(y, g1, g2)
+    s = None
+    for params in sweep:
+        if params.gamma1 == 0.0 and params.gamma2 == 0.0:
+            yield SolveReport(minimizer=y.copy(), energy=0.0, iterations=0,
+                              residual=0.0, method="closed_form")
+            continue
+        if not params.all_quadratic:
+            raise MdgspError("the closed form needs p = q1 = q2 = 2")
+        if s is None:
+            if b1 is None:
+                b1 = eigenbasis(matrices(g1).L, "laplacian")
+            if b2 is None:
+                b2 = eigenbasis(matrices(g2).L, "laplacian")
+            s = gft_2d(y, b1, b2)
+        x = inverse_gft_2d(_filtered(s, params), b1, b2)
+        yield SolveReport(minimizer=x, energy=ebem_energy(x, y, g1, g2, params),
+                          iterations=0, residual=0.0, method="closed_form")
 
 
 def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
@@ -142,20 +177,13 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
     tol) is reported in the result, not raised.
 
     `b1`/`b2` are the factors' Laplacian eigenbases, if already computed;
-    only the closed form uses them (a gamma sweep diagonalizes once).
+    only the closed form uses them. A gamma sweep of closed-form points
+    runs through `closed_form_sweep`, which transforms y once.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g1.n, g2.n):
-        raise DimensionError(f"observation shape {y.shape}, expected ({g1.n}, {g2.n})")
-
-    if params.gamma1 == 0.0 and params.gamma2 == 0.0 and not force_gradient:
-        return SolveReport(minimizer=y.copy(), energy=0.0, iterations=0,
-                           residual=0.0, method="closed_form")
-
-    if params.all_quadratic and not force_gradient:
-        x = _closed_form(y, g1, g2, params, b1, b2)
-        return SolveReport(minimizer=x, energy=ebem_energy(x, y, g1, g2, params),
-                           iterations=0, residual=0.0, method="closed_form")
+    y = _observation(y, g1, g2)
+    unregularized = params.gamma1 == 0.0 and params.gamma2 == 0.0
+    if (unregularized or params.all_quadratic) and not force_gradient:
+        return next(closed_form_sweep(y, g1, g2, [params], b1, b2))
 
     smooth = params.p > 1 and params.q1 > 1 and params.q2 > 1
     x = y.copy()

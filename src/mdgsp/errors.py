@@ -9,6 +9,10 @@ class MdgspError(Exception):
     """Base class for all package errors."""
 
 
+class UsageError(MdgspError):
+    """Command-line arguments or settings that parse but cannot run as given."""
+
+
 class GraphError(MdgspError):
     """Invalid graph construction: loops, duplicate edges, bad weights or indices."""
 

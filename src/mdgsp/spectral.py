@@ -3,7 +3,8 @@
 All transforms in this package are built on `eigenbasis`, which pins an
 ascending eigenvalue order (stable under ties) and a sign convention for
 every eigenvector, so repeated runs produce identical bases on the same
-build. Inside a degenerate eigenspace the basis is whatever the solver
+numpy/BLAS build with the same BLAS thread count (the thread count changes
+how `eigh` sums, and so the last bits of the basis). Inside a degenerate eigenspace the basis is whatever the solver
 yields after sign-fixing; multiplicity bookkeeping is exposed so callers
 can compare basis-invariant quantities instead of raw entries.
 """

@@ -1,10 +1,16 @@
 """Command-line pipelines: outputs, manifests, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdgsp
 from mdgsp import (
     DimensionError,
     FormatError,
@@ -28,7 +34,7 @@ from mdgsp import (
 from mdgsp import test_directional_stationarity as directional_report
 from mdgsp import test_fgw_stationarity as fgw_report
 from mdgsp.cli import main
-from helpers import laplacian_basis, traced_peak_mb
+from helpers import laplacian_basis, random_connected_graph, traced_peak_mb
 
 
 @pytest.fixture
@@ -214,6 +220,119 @@ def test_denoise_gamma_sweep(workdir):
 
     for entry in rep["solves"]:
         assert Path(entry["out"]).exists()
+
+
+def _sweep_workdir(tmp_path, n1=7, n2=6, seed=3):
+    rng = np.random.default_rng(seed)
+    save_graph(random_connected_graph(rng, n1), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", n2), tmp_path / "g2.json")
+    save_signal(rng.standard_normal((n1, n2)), tmp_path / "y.csv")
+    return ("denoise", "--g1", tmp_path / "g1.json", "--g2", tmp_path / "g2.json",
+            "--observation", tmp_path / "y.csv")
+
+
+def test_closed_form_sweep_equals_one_point_runs(tmp_path):
+    denoise = _sweep_workdir(tmp_path)
+    assert run(*denoise, "--gamma1", "0.3,2", "--gamma2", "0,0.5,4",
+               "--out", tmp_path / "x.csv", "--report", tmp_path / "sweep.json") == 0
+    solves = json.loads((tmp_path / "sweep.json").read_text())["solves"]
+    assert [(e["gamma1"], e["gamma2"]) for e in solves] == [
+        (a, b) for a in (0.3, 2.0) for b in (0.0, 0.5, 4.0)]
+    for i, entry in enumerate(solves):
+        one = tmp_path / f"one{i}.csv"
+        assert run(*denoise, "--gamma1", entry["gamma1"], "--gamma2", entry["gamma2"],
+                   "--out", one, "--report", tmp_path / f"one{i}.json") == 0
+        assert Path(entry["out"]).read_bytes() == one.read_bytes()
+        (single,) = json.loads((tmp_path / f"one{i}.json").read_text())["solves"]
+        assert {**single, "out": entry["out"]} == entry
+
+
+def test_closed_form_sweep_transforms_the_observation_once(tmp_path, monkeypatch):
+    import mdgsp.cli as cli
+    import mdgsp.denoise as denoise_module
+    from mdgsp import eigenbasis
+
+    calls = []
+
+    def counting_gft(f, b1, b2):
+        calls.append("gft_2d")
+        return gft_2d(f, b1, b2)
+
+    def counting_eigenbasis(m, source):
+        calls.append("eigenbasis")
+        return eigenbasis(m, source)
+
+    for module in (cli, denoise_module):
+        monkeypatch.setattr(module, "gft_2d", counting_gft)
+        monkeypatch.setattr(module, "eigenbasis", counting_eigenbasis)
+    assert run(*_sweep_workdir(tmp_path), "--gamma1", "0.3,2", "--gamma2", "0.1,0.5,4",
+               "--out", tmp_path / "x.csv") == 0
+    assert sorted(calls) == ["eigenbasis", "eigenbasis", "gft_2d"]
+
+
+@pytest.mark.parametrize("exponent, pooled", [("2", False), ("1.5", True)])
+def test_only_gradient_sweeps_start_a_worker_pool(tmp_path, monkeypatch, exponent, pooled):
+    import mdgsp.cli as cli
+
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+    assert run(*_sweep_workdir(tmp_path), "--q1", exponent, "--q2", exponent,
+               "--gamma1", "0.3,2", "--gamma2", "0.5", "--max-iter", 50,
+               "--out", tmp_path / "x.csv") in (0, 5)
+    assert len(pools) == int(pooled)
+
+
+def test_closed_form_sweep_memory_does_not_grow_with_points(tmp_path):
+    denoise = _sweep_workdir(tmp_path, n1=120, n2=50)
+
+    def sweep(gammas1):
+        return lambda: run(*denoise, "--gamma1", gammas1, "--gamma2", "0.1,0.7",
+                           "--out", tmp_path / "x.csv")
+
+    sweep("1")()  # first use: the float encoder and its tables
+    two = traced_peak_mb(sweep("1"))
+    twelve = traced_peak_mb(sweep("0.5,1,1.5,2,2.5,3"))
+    # ten more points may not keep even one more 120 x 50 minimizer alive
+    minimizer_mb = 120 * 50 * 8 / 2**20
+    assert twelve < two + minimizer_mb
+
+
+@pytest.mark.parametrize("gamma1, message", [
+    ("0.1234567,0.1234568", "writes x-g1_0.123457-g2_0.5.csv more than once"),
+    ("1,1", "writes x-g1_1-g2_0.5.csv more than once"),
+    (",", "the gamma sweep is empty"),
+])
+def test_unusable_gamma_sweep_is_a_usage_error(workdir, capsys, gamma1, message):
+    before = sorted(workdir.iterdir())
+    assert run("denoise", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--observation", workdir / "f.csv", "--gamma1", gamma1, "--gamma2", "0.5",
+               "--out", workdir / "x.csv", "--report", workdir / "sweep.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[usage]: ") and message in err
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) == 1,
+                    reason="counts threads in /proc/self/task")
+def test_mdgsp_threads_caps_blas_threads():
+    code = ("import os, mdgsp.cli, numpy as np\n"
+            "a = np.ones((1500, 1500))\n"
+            "a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))")
+    src = str(Path(mdgsp.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(MDGSP_THREADS="1",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.split() == ["1"]
 
 
 def test_variation_command(workdir):

@@ -8,6 +8,7 @@ from helpers import laplacian_basis, random_graph, traced_peak_mb
 from mdgsp import (
     EbemParams,
     MdgspError,
+    closed_form_sweep,
     ebem_energy,
     ebem_minimize,
     matrices,
@@ -99,6 +100,26 @@ def test_closed_form_reuses_precomputed_bases_exactly():
     fresh = ebem_minimize(y, g1, g2, params)
     reused = ebem_minimize(y, g1, g2, params, b1=laplacian_basis(g1), b2=laplacian_basis(g2))
     assert np.array_equal(fresh.minimizer, reused.minimizer)
+
+
+def test_closed_form_sweep_yields_the_single_point_solves():
+    rng = np.random.default_rng(13)
+    g1, g2 = grids()
+    y = rng.standard_normal((4, 5))
+    sweep = [EbemParams(gamma1=a, gamma2=b) for a in (0.0, 0.4) for b in (0.0, 2.5)]
+    for params, rep in zip(sweep, closed_form_sweep(y, g1, g2, sweep), strict=True):
+        one = ebem_minimize(y, g1, g2, params)
+        assert np.array_equal(rep.minimizer, one.minimizer)
+        assert (rep.energy, rep.iterations, rep.method) == (one.energy, 0, "closed_form")
+
+
+def test_closed_form_sweep_refuses_a_regularized_nonquadratic_point():
+    g1, g2 = grids()
+    sweep = closed_form_sweep(np.zeros((4, 5)), g1, g2,
+                              [EbemParams(q1=1.5), EbemParams(gamma1=1.0, q1=1.5)])
+    assert next(sweep).energy == 0.0  # no regularization: y itself
+    with pytest.raises(MdgspError, match="closed form"):
+        next(sweep)
 
 
 def test_closed_form_denominator_never_degenerates():
