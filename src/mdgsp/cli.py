@@ -71,10 +71,12 @@ _ERRORS = [
 EXIT_NONCONVERGENCE = 5
 
 # Commands that write CSV load the float encoder as they start, before their own
-# working set: loaded at the first write instead, its long-lived objects would sit
-# above that working set in the malloc heap and keep it from shrinking, which
-# raised the peak RSS of commands run one after another in one process.
+# working set, and commands that read CSV the bulk reader: loaded at the first write
+# (read) instead, its long-lived objects would sit above that working set in the
+# malloc heap and keep it from shrinking, which raised the peak RSS of commands run
+# one after another in one process.
 _WRITES_CSV = {"gft", "filter", "denoise", "variation", "eig"}
+_READS_CSV = {"gft", "filter", "denoise", "variation", "render"}
 
 
 def _write_manifest(primary_out: str, command: str, args: argparse.Namespace,
@@ -488,6 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     if args.command in _WRITES_CSV:
         from . import _floattext  # noqa: F401
+    if args.command in _READS_CSV:
+        from . import _csvread  # noqa: F401
     try:
         _env_threads()  # checked for every command; a gradient sweep reads it later
         rc = args.func(args)

@@ -74,15 +74,19 @@ def _heatmap_chunks(s: Spectrum2D, title: str, blocks: list[slice], vmax: float)
             f"{_escape(title)}</text>"
         )
     yield _lines(head)
-    cell_y = [f'{_MARGIN_TOP + (n2 - 1 - k2) * _CELL}" width="{_CELL}" height="{_CELL}" fill="'
-              for k2 in range(n2)]
+    # Each cell's line joins three NUL-padded byte fields: its x-prefix (per k1), its
+    # y-segment (per k2) and its colour; dropping the NULs leaves the text.
+    cell_x = _padded(f'<rect x="{_MARGIN_LEFT + k1 * _CELL}" y="' for k1 in range(n1))
+    cell_y = _padded(f'{_MARGIN_TOP + (n2 - 1 - k2) * _CELL}" width="{_CELL}" height="{_CELL}" '
+                     'fill="' for k2 in range(n2))
+    fills = _padded(f'{color}"/>\n' for color in VIRIDIS_256)
     for rows in blocks:
-        colors = color_indices(s.power(rows), vmax).tolist()
-        out = []
-        for k1, row in enumerate(colors, start=rows.start):
-            rect = f'<rect x="{_MARGIN_LEFT + k1 * _CELL}" y="'
-            out += [f'{rect}{y}{VIRIDIS_256[c]}"/>' for y, c in zip(cell_y, row)]
-        yield _lines(out)
+        x = cell_x[rows]
+        cells = np.empty((len(x), n2), [("x", x.dtype), ("y", cell_y.dtype), ("fill", fills.dtype)])
+        cells["x"] = x[:, None]
+        cells["y"] = cell_y
+        cells["fill"] = fills[color_indices(s.power(rows), vmax)]
+        yield cells.tobytes().translate(None, b"\0").decode("ascii")
     # axis tick labels: eigenvalues along each frequency axis
     out = []
     ybase = _MARGIN_TOP + n2 * _CELL
@@ -109,6 +113,11 @@ def _heatmap_chunks(s: Spectrum2D, title: str, blocks: list[slice], vmax: float)
     )
     out.append("</svg>")
     yield _lines(out)
+
+
+def _padded(texts: Iterator[str]) -> np.ndarray:
+    """ASCII texts as an array of NUL-padded byte strings."""
+    return np.array([t.encode("ascii") for t in texts], dtype=bytes)
 
 
 def _lines(lines: list[str]) -> str:

@@ -101,7 +101,10 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
         values[np.abs(values) <= 1e-10] = 0.0
 
     n = m.shape[0]
-    gram_err = np.abs(vectors.T @ vectors - np.eye(n)).max()
+    gram = vectors.T @ vectors  # |U^T U - I|, in place
+    gram.reshape(-1)[::n + 1] -= 1.0
+    gram_err = np.abs(gram, out=gram).max()
+    del gram
     if gram_err > TOL_ORTH:
         raise SpectrumError(f"eigenvectors not orthonormal: max error {gram_err:g}")
     resid = m @ vectors - vectors * values

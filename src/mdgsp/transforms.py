@@ -349,7 +349,14 @@ def _signal_from_lines(lines: Iterable[str]) -> Signal2D:
 
 
 def signal_from_csv(text: str) -> Signal2D:
-    return _signal_from_lines(text.strip().splitlines())
+    """The signal of a CSV text: in bulk if it is plain (see `_csvread`), else one
+    token at a time by `float()`; either way the same values, or the same error."""
+    from . import _csvread as bulk  # on first use: see its docstring
+
+    try:
+        return bulk.signal(bulk.text_chunks(text))
+    except bulk.NotPlain:
+        return _signal_from_lines(text.strip().splitlines())
 
 
 def _stripped_lines(physical: Iterable[str]) -> Iterator[str]:
@@ -388,9 +395,20 @@ def save_signal(f: Signal2D, path: str | Path) -> None:
 
 
 def load_signal(path: str | Path) -> Signal2D:
-    """`signal_from_csv` of a file, read line by line."""
+    """`signal_from_csv` of a file, read in blocks of whole lines (line by line if the
+    file is not plain)."""
+    from . import _csvread as bulk  # on first use: see its docstring
+
+    try:
+        with open(path, "rb") as raw:
+            return bulk.signal(bulk.file_chunks(raw))
+    except bulk.NotPlain:
+        pass
     with open(path) as physical:
         return _signal_from_lines(_stripped_lines(physical))
+
+
+_SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power"
 
 
 def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
@@ -421,7 +439,7 @@ def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
         return ft.join(z.shape, [k1[a, None], k2[None, c], l1[a, None], l2[None, c],
                                  ft.Floats(re), ft.Floats(im), ft.Floats(power)], seps)
 
-    return chain(["k1,k2,lambda1,lambda2,re,im,power\n"],
+    return chain([f"{_SPECTRUM_HEADER}\n"],
                  starmap(lines, _grid_slices(n1, n2, ft.BLOCK // 3)))
 
 
@@ -433,9 +451,21 @@ def spectrum_to_csv(s: Spectrum2D) -> str:
 def spectrum_from_csv(text: str) -> Spectrum2D:
     """Read `spectrum_to_csv` text. Every (k1, k2) pair of the index grid must appear
     exactly once, every row of one k1 (k2) must give the same lambda1 (lambda2), and no
-    value may be NaN (an overflowing power is written as inf)."""
+    value may be NaN (an overflowing power is written as inf). A plain text is read in
+    bulk (see `_csvread`), any other one token at a time, to the same spectrum or error."""
+    from . import _csvread as bulk  # on first use: see its docstring
+
+    try:
+        return Spectrum2D(*bulk.spectrum(bulk.text_chunks(text), _SPECTRUM_HEADER))
+    except bulk.NotPlain:
+        return _spectrum_by_token(text)
+
+
+def _spectrum_by_token(text: str) -> Spectrum2D:
+    """`spectrum_from_csv` one token at a time: the reference reader, and the one that
+    words every error."""
     lines = text.strip().splitlines()
-    if not lines or lines[0] != "k1,k2,lambda1,lambda2,re,im,power":
+    if not lines or lines[0] != _SPECTRUM_HEADER:
         raise FormatError("spectrum CSV missing expected header")
     if len(lines) == 1:
         raise FormatError("spectrum CSV has no data rows")
@@ -481,4 +511,12 @@ def save_spectrum(s: Spectrum2D, path: str | Path) -> None:
 
 
 def load_spectrum(path: str | Path) -> Spectrum2D:
-    return spectrum_from_csv(Path(path).read_text())
+    """`spectrum_from_csv` of a file, read in blocks of whole lines (whole if the file
+    is not plain)."""
+    from . import _csvread as bulk  # on first use: see its docstring
+
+    try:
+        with open(path, "rb") as raw:
+            return Spectrum2D(*bulk.spectrum(bulk.file_chunks(raw), _SPECTRUM_HEADER))
+    except bulk.NotPlain:
+        return _spectrum_by_token(Path(path).read_text())

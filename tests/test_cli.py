@@ -866,3 +866,14 @@ def test_gft_rejects_a_malformed_signal(workdir, capsys, text):
     assert err.startswith("mdgsp: error[format]: signal CSV ")
     assert ("line 3" in err) == (text.count("?") == 1)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["1.7976931348623159e308", "1e999"])
+def test_gft_rejects_a_signal_that_overflows(workdir, capsys, token):
+    # a plain file, read in bulk: the overflowing token reads as inf, as float() reads it
+    (workdir / "big.csv").write_text(f"1,2,3,4\n1,2,{token},4\n1,2,3,4\n")
+    out = workdir / "s.csv"
+    assert run("gft", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--signal", workdir / "big.csv", "--out", out) == 3
+    assert capsys.readouterr().err == "mdgsp: error[format]: signal CSV has non-finite entries\n"
+    assert not out.exists()

@@ -30,6 +30,7 @@ from mdgsp import (
     save_spectrum,
     standard_graph,
 )
+import mdgsp.transforms as transforms
 from mdgsp.transforms import signal_from_csv, spectrum_from_csv, spectrum_to_csv
 
 
@@ -386,6 +387,19 @@ SIGNAL_TEXTS = [
     "1.0,nan\n",
     "\n \t\n",
     "",
+    # the edges of the bulk path: each reads as the per-token reader reads it
+    "1.0,2.0\n3.0,4.0",  # no final newline
+    "1.0,2.0\n3.0,4.0\n\n\n",  # trailing blank lines
+    "1.0,,2.0\n3.0,4.0,5.0\n",  # an empty field
+    "1.0,2.0,\n3.0,4.0,\n",  # a trailing comma
+    "1.0\n-2.5\n3e-5\n",  # one column
+    "7",  # one value
+    "1_0,2\n3,4\n",  # float() accepts the underscore; the bulk path does not
+    "1,2\r\n3,4",
+    "\ufeff1.0,2.0\n3.0,4.0\n",  # a byte order mark
+    "\n1.0,2.0\n3.0,4.0\n",  # a leading blank line
+    "1.0,2.0\n3.0,4.0,5.0\n",  # ragged
+    "1.0,2.0\n3.0,1e999\n",  # overflows to inf
 ]
 
 
@@ -403,3 +417,188 @@ def test_signal_file_reader_equals_the_text_reader(tmp_path, text):
         except FormatError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def per_token_signal(text):
+    return transforms._signal_from_lines(text.strip().splitlines())
+
+
+MANY_ROWS = "1.0,2.0\n" * 20000  # 160 kB: the bulk readers take it in three blocks
+
+
+@pytest.mark.parametrize("text", SIGNAL_TEXTS + [
+    pytest.param(MANY_ROWS + "1.0,2.0,3.0\n", id="ragged-in-a-later-block"),
+    # the first 8192 lines fill the first 64 KiB block exactly
+    pytest.param(MANY_ROWS[:65536] + "1.0,2.0,3.0\n" * 100, id="a-wider-block"),
+    pytest.param(MANY_ROWS[:65528] + "1.0,2.\n\n" + MANY_ROWS, id="blank-at-the-end-of-a-block"),
+    pytest.param(MANY_ROWS + "\n1.0,2.0\n", id="blank-in-a-later-block"),
+    pytest.param(MANY_ROWS + " \n", id="space-in-a-later-block"),
+    pytest.param(MANY_ROWS + "\n" * 70000, id="trailing-blank-blocks"),
+    pytest.param(MANY_ROWS + "1.0,x\n", id="bad-token-in-a-later-block"),
+    pytest.param("1e999,2.0\n" + MANY_ROWS + "1.0,x\n", id="inf-before-a-bad-token"),
+    pytest.param((",".join(["0.5"] * 40000) + "\n") * 2, id="lines-longer-than-a-block"),
+])
+def test_signal_readers_equal_the_per_token_reader(tmp_path, text):
+    path = tmp_path / "f.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    outcomes = []
+    for read in (lambda: per_token_signal(text), lambda: signal_from_csv(text),
+                 lambda: load_signal(path)):
+        try:
+            f = read()
+            outcomes.append((f.shape, f.dtype, f.tobytes()))
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def per_token_reader_called(*args):
+    raise AssertionError("the per-token reader was called")
+
+
+# Tokens that float() reads on its slow or edge paths: 17 and more digits, exact
+# ties, subnormals, underflow to 0.0, the largest finite value, and spellings
+# float() accepts (-0, leading zeros, no digit on one side of the point, +, E).
+HARD_TOKENS = [
+    "9007199254740993", "9007199254740995", "0.30000000000000004", "1.7976931348623157e308",
+    "1.00000000000000011102230246251565404236316680908203125",  # halfway: rounds to even
+    "1.00000000000000011102230246251565404236316680908203126",
+    "4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324", "5e-324",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "1e-400",
+    "123456789012345678901234567890", "0.000000000000000000000000000001234567890123456789",
+    "-0", "00012", "1.", ".5", "+1", "1E5", "-1.5e-7", "9.999999999999999e22",
+]
+
+
+def test_bulk_values_equal_float_bit_for_bit(tmp_path, monkeypatch):
+    rng = np.random.default_rng(17)
+    random = (rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)).tolist()
+    tokens = HARD_TOKENS + [f"{x:.17g}" for x in random] + [f"{x:.17e}" for x in random]
+    tokens += [f"{x:.30g}" for x in random[:50]]
+    monkeypatch.setattr(transforms, "_signal_row", per_token_reader_called)
+    expected = np.array([float(t) for t in tokens])
+    for width in (1, 7):
+        cut = len(tokens) - len(tokens) % width
+        text = "".join(",".join(tokens[i:i + width]) + "\n" for i in range(0, cut, width))
+        (tmp_path / "f.csv").write_text(text)
+        for f in (signal_from_csv(text), load_signal(tmp_path / "f.csv")):
+            assert f.shape == (cut // width, width)
+            assert f.tobytes() == expected[:cut].tobytes()
+
+
+@pytest.mark.parametrize("token", ["1.7976931348623159e308", "1e999", "-1e999"])
+def test_an_overflowing_token_reads_as_non_finite(tmp_path, token):
+    text = f"1.0,2.0\n3.0,{token}\n"
+    (tmp_path / "f.csv").write_text(text)
+    for read in (lambda: signal_from_csv(text), lambda: load_signal(tmp_path / "f.csv")):
+        with pytest.raises(FormatError, match="signal CSV has non-finite entries"):
+            read()
+
+
+def test_a_plain_signal_file_is_read_in_bulk(tmp_path, monkeypatch):
+    f = np.random.default_rng(10).standard_normal((1000, 100))
+    save_signal(f, tmp_path / "f.csv")
+    monkeypatch.setattr(transforms, "_signal_row", per_token_reader_called)
+    assert load_signal(tmp_path / "f.csv").tobytes() == f.tobytes()
+
+
+def test_a_plain_spectrum_file_is_read_in_bulk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    s = Spectrum2D(values=rng.standard_normal((300, 40)) + 1j * rng.standard_normal((300, 40)),
+                   lambdas1=np.sort(rng.random(300)), lambdas2=np.sort(rng.random(40)))
+    save_spectrum(s, tmp_path / "s.csv")
+    monkeypatch.setattr(transforms, "_spectrum_by_token", per_token_reader_called)
+    back = load_spectrum(tmp_path / "s.csv")
+    assert back.values.dtype == np.complex128 and back.values.tobytes() == s.values.tobytes()
+    assert back.lambdas1.tobytes() == s.lambdas1.tobytes()
+    assert back.lambdas2.tobytes() == s.lambdas2.tobytes()
+
+
+def grid_rows(n1, n2):
+    """Spectrum rows of an n1 x n2 grid in index order, with distinct values."""
+    return [[str(k1), str(k2), repr(k1 / 2), repr(k2 / 4), repr(k1 - k2 / 8), "0.0",
+             repr((k1 - k2 / 8) ** 2)] for k1 in range(n1) for k2 in range(n2)]
+
+
+def edited(rows, **cells):
+    """A copy of `rows` with cells "r<i>c<j>" replaced."""
+    rows = [list(r) for r in rows]
+    for name, text in cells.items():
+        i, j = map(int, name[1:].split("c"))
+        rows[i][j] = text
+    return rows
+
+
+GRID = grid_rows(4, 3)
+BIG = grid_rows(100, 50)
+ZERO = [r[:2] + ["0.0", "0.0"] + r[4:] for r in GRID]
+SPECTRUM_TEXTS = [
+    GRID,
+    GRID[::-1],
+    GRID[5:] + GRID[:5],  # shuffled
+    [GRID[0]] + GRID,  # repeated
+    GRID[:4] + GRID[5:],  # missing
+    GRID[:-1],  # the last missing
+    GRID + [["-1", "0", "0.0", "0.0", "1.0", "0.0", "1.0"]],  # negative
+    edited(GRID, r3c4="nan"),
+    edited(GRID, r3c6="nan"),
+    edited(GRID, r4c2="0.75"),  # lambda1 disagrees
+    edited(GRID, r4c3="-0.0"),  # lambda2 of k2 = 1 disagrees
+    edited(GRID, r0c3="-0.0"),  # -0.0 first: lambda2 of k2 = 0 equals 0.0 and reads as -0.0
+    edited(GRID, r5c5="-2.5"),  # complex values
+    edited(GRID, r5c5="-0.0"),  # a negative zero imaginary part is zero
+    edited(GRID, r4c4="1e999", r4c6="inf"),
+    edited(GRID, r9c0="+3"),
+    edited(GRID, r9c0=" 3"),
+    edited(GRID, r9c0="3.0"),
+    edited(GRID, r9c1="0003"),
+    edited(GRID, r9c1="3e0"),
+    edited(GRID, r2c1="-2"),
+    edited(GRID, r2c1="9007199254740993"),
+    [r[:6] for r in GRID],
+    GRID + [["5"]],
+    # 5000 rows: the bulk readers take them in four blocks
+    BIG,
+    BIG[2500:] + BIG[:2500],
+    edited(BIG, r4000c2="-1.5"),  # lambda1 disagrees in a later block
+    BIG[:4000] + [BIG[10]] + BIG[4001:],  # repeated in a later block
+    ZERO,
+    ZERO[:-1] + [ZERO[0]],  # repeated, every eigenvalue the same
+    edited(BIG, r4000c0="0x1"),
+]
+
+
+def spectrum_text(rows, end="\n", header=SPECTRUM_HEADER):
+    return header + "\n".join(",".join(r) for r in rows) + end
+
+
+@pytest.mark.parametrize("rows", SPECTRUM_TEXTS)
+@pytest.mark.parametrize("end", ["\n", "", "\n\n\n"])
+def test_spectrum_file_reader_equals_the_text_reader(tmp_path, rows, end):
+    assert_spectrum_readers_agree(tmp_path, spectrum_text(rows, end))
+
+
+@pytest.mark.parametrize("header", [
+    "k1,k2,lambda1,lambda2,re,im,POWER\n", "k1,k2,lambda1,lambda2,re,im,powe\n",
+    " " + SPECTRUM_HEADER, "\n" + SPECTRUM_HEADER, SPECTRUM_HEADER.replace("\n", "\r\n"),
+    SPECTRUM_HEADER + SPECTRUM_HEADER, SPECTRUM_HEADER + "\n",
+])
+def test_spectrum_readers_agree_on_the_header(tmp_path, header):
+    assert_spectrum_readers_agree(tmp_path, spectrum_text(GRID, header=header))
+
+
+def assert_spectrum_readers_agree(tmp_path, text):
+    path = tmp_path / "s.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    outcomes = []
+    for read in (lambda: transforms._spectrum_by_token(text), lambda: spectrum_from_csv(text),
+                 lambda: load_spectrum(path)):
+        try:
+            s = read()
+            outcomes.append([(a.shape, a.dtype, a.tobytes())
+                             for a in (np.asarray(s.values), s.lambdas1, s.lambdas2)])
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
