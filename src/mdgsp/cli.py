@@ -112,6 +112,13 @@ def _decompose(mats: list[np.ndarray], source: str = "laplacian") -> list[EigenB
     return [eigenbasis(mats.pop(0), source) for _ in range(len(mats))]
 
 
+def _factor_bases(args, source: str = "laplacian") -> list[EigenBasis]:
+    """Eigenbases of the `--g1` and `--g2` factors. Each graph is dropped once its matrix
+    is built, so the command decomposes before it holds anything else n x n."""
+    return _decompose([_factor_matrix(load_graph(p), source) for p in (args.g1, args.g2)],
+                      source)
+
+
 def cmd_product(args) -> int:
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
@@ -132,8 +139,7 @@ def cmd_eig(args) -> int:
 
 
 def cmd_gft(args) -> int:
-    b1, b2 = _decompose([_factor_matrix(load_graph(p), args.source) for p in (args.g1, args.g2)],
-                        args.source)
+    b1, b2 = _factor_bases(args, args.source)
     f = load_signal(args.signal)
     if args.source == "laplacian":
         s = gft_2d(f, b1, b2)
@@ -152,13 +158,16 @@ def cmd_gft(args) -> int:
 
 def cmd_filter(args) -> int:
     laplacians = [_factor_matrix(load_graph(p)) for p in (args.g1, args.g2)]
-    f = load_signal(args.signal)
     kernel = load_kernel(args.kernel)
     if isinstance(kernel, PolyKernel2D):
         # a polynomial kernel runs in the vertex domain: no eigenbasis needed
-        out = polynomial_filter_vertex(f, kernel, *laplacians)
+        out = polynomial_filter_vertex(load_signal(args.signal), kernel, *laplacians)
     else:
-        out = spectral_filter_2d(f, kernel, *_decompose(laplacians))
+        # the signal is read after the eigh, as in gft: read before, it can take the
+        # heap space that the dropped adjacency left, and eigh's copy of the Laplacian
+        # then extends the heap
+        bases = _decompose(laplacians)
+        out = spectral_filter_2d(load_signal(args.signal), kernel, *bases)
     out = np.real_if_close(out, tol=100)
     if np.iscomplexobj(out):
         raise KernelError("filter output is complex; the signal CSV stores real values")
@@ -167,7 +176,18 @@ def cmd_filter(args) -> int:
 
 
 def _gamma_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok != ""]
+    """The comma-separated gammas of `text`. A token that is not a finite number is a
+    usage error, raised before any file is read."""
+    gammas = []
+    for tok in filter(None, str(text).split(",")):
+        try:
+            gamma = float(tok)
+        except ValueError:
+            gamma = np.nan
+        if not np.isfinite(gamma):
+            raise UsageError(f"gamma {tok!r} is not a finite number")
+        gammas.append(gamma)
+    return gammas
 
 
 def _sweep_outputs(out: str, combos: list[tuple[float, float]]) -> list[Path]:
@@ -194,15 +214,21 @@ def cmd_denoise(args) -> int:
     out_paths = _sweep_outputs(args.out, combos)
     sweep = [EbemParams(p=args.p, gamma1=a, gamma2=b, q1=args.q1, q2=args.q2)
              for a, b in combos]
+    closed_form = sweep[0].all_quadratic and not args.force_gradient
+    # only a regularized closed-form point needs the bases; the graphs that the
+    # energies need are loaded after the decompositions
+    b1 = b2 = None
+    if closed_form and any(params.regularized for params in sweep):
+        b1, b2 = _factor_bases(args)
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
     y = load_signal(args.observation)
 
     def reports():
-        if sweep[0].all_quadratic and not args.force_gradient:
+        if closed_form:
             # one spectrum of y serves every point; each minimizer is written before
             # the next is computed
-            yield from closed_form_sweep(y, g1, g2, sweep)
+            yield from closed_form_sweep(y, g1, g2, sweep, b1, b2)
             return
 
         def solve(params):
@@ -239,9 +265,10 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_variation(args) -> int:
-    # the variation needs the graphs' incidence, so they outlive the decompositions
+    # the incidence and trace form of the variation come from a second load of each
+    # graph, after the decompositions
+    b1, b2 = _factor_bases(args)
     g1, g2 = load_graph(args.g1), load_graph(args.g2)
-    b1, b2 = _decompose([_factor_matrix(g1), _factor_matrix(g2)])
     f = load_signal(args.signal)
     directions = [1, 2] if args.direction == "both" else [int(args.direction)]
     spectrum = gft_2d(f, b1, b2)  # one transform serves both directions

@@ -32,8 +32,8 @@ _STEP_FLOOR = 1e-16
 class EbemParams:
     """Fidelity exponent p and per-direction regularization (gamma, q).
 
-    All exponents must be >= 1 so that the energy is convex; gammas must
-    be nonnegative.
+    All must be finite. Exponents must be >= 1 so that the energy is
+    convex; gammas must be nonnegative.
     """
 
     p: float = 2.0
@@ -43,10 +43,16 @@ class EbemParams:
     q2: float = 2.0
 
     def __post_init__(self):
+        if not np.isfinite([self.p, self.gamma1, self.gamma2, self.q1, self.q2]).all():
+            raise MdgspError("exponents p, q1, q2 and weights gamma1, gamma2 must be finite")
         if self.p < 1 or self.q1 < 1 or self.q2 < 1:
             raise MdgspError("exponents p, q1, q2 must all be >= 1 (convexity)")
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise MdgspError("regularization weights must be nonnegative")
+
+    @property
+    def regularized(self) -> bool:
+        return self.gamma1 != 0.0 or self.gamma2 != 0.0
 
     @property
     def all_quadratic(self) -> bool:
@@ -144,7 +150,7 @@ def closed_form_sweep(y: np.ndarray, g1: Graph, g2: Graph, sweep: Iterable[EbemP
     y = _observation(y, g1, g2)
     s = None
     for params in sweep:
-        if params.gamma1 == 0.0 and params.gamma2 == 0.0:
+        if not params.regularized:
             yield SolveReport(minimizer=y.copy(), energy=0.0, iterations=0,
                               residual=0.0, method="closed_form")
             continue
@@ -181,8 +187,7 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
     runs through `closed_form_sweep`, which transforms y once.
     """
     y = _observation(y, g1, g2)
-    unregularized = params.gamma1 == 0.0 and params.gamma2 == 0.0
-    if (unregularized or params.all_quadratic) and not force_gradient:
+    if (not params.regularized or params.all_quadratic) and not force_gradient:
         return next(closed_form_sweep(y, g1, g2, [params], b1, b2))
 
     smooth = params.p > 1 and params.q1 > 1 and params.q2 > 1

@@ -31,6 +31,19 @@ def random_connected_graph(rng, n, extra=0.4, weighted=True):
     return build_graph(n, edges)
 
 
+def sensor_graph(rng, n, k=8):
+    """Symmetrized k-nearest-neighbour graph on random points in the unit square, with
+    Gaussian weights of the squared distance: the benchmark's sensor graph."""
+    pts = rng.random((n, 2))
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    nbrs = np.argpartition(d2, k, axis=1)[:, :k]
+    sigma2 = float(np.mean(d2[np.arange(n)[:, None], nbrs]))
+    pairs = {(min(i, int(j)), max(i, int(j))) for i in range(n) for j in nbrs[i]}
+    return build_graph(n, [(i, j, float(np.exp(-d2[i, j] / (2.0 * sigma2))))
+                           for i, j in sorted(pairs)])
+
+
 def laplacian_basis(g):
     return eigenbasis(matrices(g).L, "laplacian")
 

@@ -34,7 +34,7 @@ from mdgsp import (
 from mdgsp import test_directional_stationarity as directional_report
 from mdgsp import test_fgw_stationarity as fgw_report
 from mdgsp.cli import main
-from helpers import laplacian_basis, random_connected_graph, traced_peak_mb
+from helpers import laplacian_basis, random_connected_graph, sensor_graph, traced_peak_mb
 
 
 @pytest.fixture
@@ -307,6 +307,9 @@ def test_closed_form_sweep_memory_does_not_grow_with_points(tmp_path):
     ("0.1234567,0.1234568", "writes x-g1_0.123457-g2_0.5.csv more than once"),
     ("1,1", "writes x-g1_1-g2_0.5.csv more than once"),
     (",", "the gamma sweep is empty"),
+    ("nan", "gamma 'nan' is not a finite number"),
+    ("0.5,-inf", "gamma '-inf' is not a finite number"),
+    ("half", "gamma 'half' is not a finite number"),
 ])
 def test_unusable_gamma_sweep_is_a_usage_error(workdir, capsys, gamma1, message):
     before = sorted(workdir.iterdir())
@@ -316,6 +319,70 @@ def test_unusable_gamma_sweep_is_a_usage_error(workdir, capsys, gamma1, message)
     err = capsys.readouterr().err
     assert err.startswith("mdgsp: error[usage]: ") and message in err
     assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("option, value, code, message", [
+    ("--gamma2", "inf", 2, "error[usage]: gamma 'inf' is not a finite number"),
+    ("--q1", "nan", 3, "must be finite"),
+])
+def test_nonfinite_denoise_parameter_is_refused(workdir, capsys, option, value, code, message):
+    before = sorted(workdir.iterdir())
+    assert run("denoise", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--observation", workdir / "f.csv", "--gamma1", "0.5", option, value,
+               "--out", workdir / "x.csv", "--report", workdir / "sweep.json") == code
+    assert message in capsys.readouterr().err
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("options", [
+    (),
+    ("--q1", "1.5", "--q2", "1.5", "--gamma1", "0.3", "--gamma2", "0.5"),
+    ("--force-gradient", "--gamma1", "0.3", "--gamma2", "0.5"),
+], ids=["default-gammas", "q-1.5", "force-gradient"])
+def test_denoise_decomposes_only_for_a_regularized_closed_form_point(tmp_path, monkeypatch,
+                                                                     options):
+    import mdgsp.cli as cli
+    import mdgsp.denoise as denoise_module
+    from mdgsp import eigenbasis
+
+    calls = []
+
+    def counting_eigenbasis(m, source):
+        calls.append("eigenbasis")
+        return eigenbasis(m, source)
+
+    for module in (cli, denoise_module):
+        monkeypatch.setattr(module, "eigenbasis", counting_eigenbasis)
+    assert run(*_sweep_workdir(tmp_path), *options, "--out", tmp_path / "x.csv") == 0
+    assert calls == []
+
+
+def test_no_command_holds_an_adjacency_through_its_decomposition(tmp_path):
+    n1, n2 = 400, 20
+    rng = np.random.default_rng(11)
+    save_graph(sensor_graph(rng, n1), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", n2), tmp_path / "g2.json")
+    f = tmp_path / "f.csv"
+    save_signal(rng.standard_normal((n1, n2)), f)
+    (tmp_path / "heat.json").write_text('{"kind": "heat", "params": {"tau1": 0.4, "tau2": 0.2}}')
+    pair = ("--g1", tmp_path / "g1.json", "--g2", tmp_path / "g2.json")
+    commands = {
+        "gft": ("gft", *pair, "--signal", f, "--out", tmp_path / "s.csv"),
+        "filter": ("filter", *pair, "--signal", f, "--kernel", tmp_path / "heat.json",
+                   "--out", tmp_path / "h.csv"),
+        "variation": ("variation", *pair, "--signal", f, "--out", tmp_path / "v.json"),
+        "denoise": ("denoise", *pair, "--observation", f, "--gamma1", "0.5",
+                    "--gamma2", "0.3,1.5", "--out", tmp_path / "x.csv"),
+    }
+    peaks = {}
+    for name, argv in commands.items():
+        assert run(*argv) == 0  # first use: the float encoder and the CSV reader
+        peaks[name] = traced_peak_mb(lambda: run(*argv))
+    # the peak is the largest factor's eigh; a command that kept that factor's
+    # n1 x n1 adjacency alive through it would exceed gft's by a whole n1^2 * 8 B
+    allowance = 0.25 * n1**2 * 8 / 2**20
+    for name in ("filter", "variation", "denoise"):
+        assert peaks[name] <= peaks["gft"] + allowance, peaks
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) == 1,

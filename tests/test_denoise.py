@@ -31,6 +31,13 @@ def test_params_reject_nonconvex_and_negative():
         EbemParams(gamma1=-0.1)
 
 
+@pytest.mark.parametrize("field", ["p", "q1", "q2", "gamma1", "gamma2"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_a_nonfinite_value(field, value):
+    with pytest.raises(MdgspError, match="must be finite"):
+        EbemParams(**{field: value})
+
+
 def test_energy_zero_for_constant_fixed_point():
     g1, g2 = grids()
     x = np.full((4, 5), 2.0)
