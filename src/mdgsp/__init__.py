@@ -29,7 +29,7 @@ from .errors import (
 
 
 def _env_threads() -> int:
-    """MDGSP_THREADS as a count; unset or empty reads 0 (let the CLI choose)."""
+    """MDGSP_THREADS as a count; unset or empty reads 0 (leave the BLAS defaults)."""
     raw = _os.environ.get("MDGSP_THREADS", "").strip() or "0"
     if not raw.isdecimal():
         raise UsageError(f"MDGSP_THREADS must be a nonnegative integer, got {raw!r}")

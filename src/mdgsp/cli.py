@@ -2,9 +2,8 @@
 
 Dispatches one subcommand per pipeline stage and writes a run manifest next
 to every primary output. MDGSP_THREADS caps the BLAS thread pools (the
-package sets them before numpy loads, see `mdgsp`) and the worker count of
-a gradient gamma sweep; a closed-form sweep runs in one loop over one
-spectrum and starts no workers. Exit codes are per error class:
+package sets them before numpy loads, see `mdgsp`). Exit codes are per
+error class:
 
     0 success, 2 usage, 3 malformed file or invariant violation on load,
     4 dimension mismatch, 5 solver non-convergence, 6 allocation failure,
@@ -18,14 +17,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, _env_threads
-from .bench import bench_sizes, equality_check
+from .bench import NAIVE_FULL_CAP, bench_sizes, equality_check
 from .denoise import EbemParams, closed_form_sweep, ebem_minimize
 from .errors import (
     DimensionError,
@@ -138,7 +136,15 @@ def cmd_eig(args) -> int:
     return 0
 
 
+def _check_positive(option: str, value: float) -> None:
+    """A usage error, raised before any file is read, unless `value` is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise UsageError(f"{option} must be a finite number > 0, got {value}")
+
+
 def cmd_gft(args) -> int:
+    if args.tol_mult is not None:
+        _check_positive("--tol-mult", args.tol_mult)
     b1, b2 = _factor_bases(args, args.source)
     f = load_signal(args.signal)
     if args.source == "laplacian":
@@ -149,9 +155,8 @@ def cmd_gft(args) -> int:
     if args.svg:
         save_spectrum_heatmap_svg(s, args.svg, title=Path(args.signal).name)
     if args.aggregate_out:
-        tol = args.tol_mult
-        if tol is None:
-            tol = default_tol_mult(np.concatenate([b1.values, b2.values]))
+        # a --tol-mult that was given is > 0 (checked above)
+        tol = args.tol_mult or default_tol_mult(np.concatenate([b1.values, b2.values]))
         Path(args.aggregate_out).write_text(aggregate_to_csv(aggregate_to_1d(s, tol)))
     return 0
 
@@ -210,6 +215,8 @@ def _sweep_outputs(out: str, combos: list[tuple[float, float]]) -> list[Path]:
 
 
 def cmd_denoise(args) -> int:
+    _check_positive("--tol", args.tol)
+    _check_positive("--max-iter", args.max_iter)
     combos = [(a, b) for a in _gamma_list(args.gamma1) for b in _gamma_list(args.gamma2)]
     out_paths = _sweep_outputs(args.out, combos)
     sweep = [EbemParams(p=args.p, gamma1=a, gamma2=b, q1=args.q1, q2=args.q2)
@@ -223,27 +230,14 @@ def cmd_denoise(args) -> int:
     g1 = load_graph(args.g1)
     g2 = load_graph(args.g2)
     y = load_signal(args.observation)
-
-    def reports():
-        if closed_form:
-            # one spectrum of y serves every point; each minimizer is written before
-            # the next is computed
-            yield from closed_form_sweep(y, g1, g2, sweep, b1, b2)
-            return
-
-        def solve(params):
-            return ebem_minimize(y, g1, g2, params, max_iter=args.max_iter, tol=args.tol,
-                                 force_gradient=args.force_gradient)
-
-        if len(sweep) == 1:
-            yield solve(sweep[0])
-            return
-        workers = _env_threads() or min(len(sweep), os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(solve, sweep)
-
+    # one report at a time: each minimizer is written before the next point is solved
+    if closed_form:
+        reports = closed_form_sweep(y, g1, g2, sweep, b1, b2)
+    else:
+        reports = (ebem_minimize(y, g1, g2, params, max_iter=args.max_iter, tol=args.tol,
+                                 force_gradient=args.force_gradient) for params in sweep)
     entries = []
-    for (a, b), out_path, rep in zip(combos, out_paths, reports(), strict=True):
+    for (a, b), out_path, rep in zip(combos, out_paths, reports, strict=True):
         save_signal(rep.minimizer, out_path)
         entries.append({
             "gamma1": a,
@@ -375,20 +369,30 @@ def cmd_stationarity(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
+def _bench_sizes(text: str) -> list[tuple[int, int]]:
+    """The `--sizes` entries, N or N1xN2 each; every factor is a cycle of >= 3 vertices."""
     sizes = []
-    for tok in str(args.sizes).split(","):
-        if "x" in tok:
-            a, b = tok.split("x")
-            sizes.append((int(a), int(b)))
-        else:
-            sizes.append((int(tok), int(tok)))
+    for tok in text.split(","):
+        try:
+            n1, n2 = map(int, tok.split("x") if "x" in tok else (tok, tok))
+        except ValueError:
+            raise UsageError(f"--sizes entry {tok!r} is not N or N1xN2") from None
+        if min(n1, n2) < 3:
+            raise UsageError(f"--sizes entry {tok!r} has a cycle of fewer than 3 vertices")
+        sizes.append((n1, n2))
+    return sizes
+
+
+def cmd_bench(args) -> int:
+    sizes = _bench_sizes(args.sizes)
+    _check_positive("--reps", args.reps)
+    n = args.check_equality
+    if n is not None and not (n >= 3 and n * n <= NAIVE_FULL_CAP):
+        raise UsageError(f"--check-equality needs N >= 3 and N*N <= {NAIVE_FULL_CAP}, got {n}")
     report = bench_sizes(sizes, repetitions=args.reps, seed=args.seed, naive=not args.no_naive)
     payload = report.to_dict()
-    if args.check_equality:
-        payload["equality_discrepancy"] = equality_check(args.check_equality,
-                                                         args.check_equality,
-                                                         seed=args.seed)
+    if n is not None:
+        payload["equality_discrepancy"] = equality_check(n, n, seed=args.seed)
     _json_out(payload, args.out)
     return 0
 
@@ -520,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in _READS_CSV:
         from . import _csvread  # noqa: F401
     try:
-        _env_threads()  # checked for every command; a gradient sweep reads it later
+        _env_threads()  # a bad MDGSP_THREADS is a usage error for every command
         rc = args.func(args)
     except (MdgspError, MemoryError) as exc:
         code, slug = next((code, slug) for cls, code, slug in _ERRORS if isinstance(exc, cls))

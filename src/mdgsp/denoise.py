@@ -169,8 +169,7 @@ def closed_form_sweep(y: np.ndarray, g1: Graph, g2: Graph, sweep: Iterable[EbemP
 
 def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
                   max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-                  force_gradient: bool = False, b1: EigenBasis | None = None,
-                  b2: EigenBasis | None = None) -> SolveReport:
+                  force_gradient: bool = False) -> SolveReport:
     """Minimize the energy for an observation y.
 
     With p = q1 = q2 = 2 the spectral closed form is exact: each spectral
@@ -180,15 +179,16 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
     never increases; an exponent of exactly 1 switches to a subgradient
     scheme with a diminishing safeguard step and the best iterate is
     reported. Non-convergence (max_iter reached with the residual above
-    tol) is reported in the result, not raised.
+    tol) is reported in the result, not raised. Only p = 1 leaves the
+    fidelity term not strictly convex, so only then may the minimizer be
+    non-unique (`maybe_nonunique`).
 
-    `b1`/`b2` are the factors' Laplacian eigenbases, if already computed;
-    only the closed form uses them. A gamma sweep of closed-form points
-    runs through `closed_form_sweep`, which transforms y once.
+    A gamma sweep of closed-form points runs through `closed_form_sweep`,
+    which transforms y once.
     """
     y = _observation(y, g1, g2)
     if (not params.regularized or params.all_quadratic) and not force_gradient:
-        return next(closed_form_sweep(y, g1, g2, [params], b1, b2))
+        return next(closed_form_sweep(y, g1, g2, [params]))
 
     smooth = params.p > 1 and params.q1 > 1 and params.q2 > 1
     x = y.copy()
@@ -196,7 +196,6 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
     best_x, best_energy = x, energy
     step = 1.0
     residual = np.inf
-    flat_count = 0
     it = 0
     for it in range(1, max_iter + 1):
         grad = _ebem_gradient(x, y, g1, g2, params)
@@ -217,8 +216,6 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
                 break
             alpha *= 0.5
         if accepted:
-            if smooth and cand_energy > energy:
-                raise MdgspError("line search accepted an energy increase")
             step = alpha
             new_energy = cand_energy
             x = cand
@@ -234,16 +231,9 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
         if new_energy < best_energy:
             best_x, best_energy = x, new_energy
         residual = abs(energy - new_energy) / max(abs(energy), 1e-300)
-        if abs(new_energy - best_energy) <= 1e-12 * max(1.0, abs(best_energy)):
-            flat_count += 1
         energy = new_energy
-        if residual < tol and smooth:
+        if residual < tol and (smooth or it > 100):
             break
-        if not smooth and residual < tol and it > 100:
-            break
-    converged = residual < tol
-    nonsmooth_exponent = params.p == 1 or params.q1 == 1 or params.q2 == 1
-    maybe_nonunique = bool(nonsmooth_exponent and flat_count >= 10)
     return SolveReport(minimizer=best_x, energy=best_energy, iterations=it,
-                       residual=residual, method="gradient", converged=converged,
-                       maybe_nonunique=maybe_nonunique)
+                       residual=residual, method="gradient", converged=residual < tol,
+                       maybe_nonunique=bool(params.p == 1))

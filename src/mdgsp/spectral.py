@@ -124,6 +124,12 @@ def default_tol_mult(values: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
 
 
+def check_tol_mult(tol_mult: float) -> None:
+    """Refuse a tolerance that is not finite and > 0: NaN or inf merges every value."""
+    if not (np.isfinite(tol_mult) and tol_mult > 0):
+        raise SpectrumError(f"tol_mult must be a finite number > 0, got {tol_mult}")
+
+
 def multiplicity_partition(basis: EigenBasis, tol_mult: float | None = None) -> MultiplicityPartition:
     """Group eigenvalue indices whose values coincide within tol_mult.
 
@@ -135,8 +141,7 @@ def multiplicity_partition(basis: EigenBasis, tol_mult: float | None = None) -> 
     values = basis.values
     if tol_mult is None:
         tol_mult = default_tol_mult(values)
-    if tol_mult <= 0:
-        raise SpectrumError(f"tol_mult must be positive, got {tol_mult}")
+    check_tol_mult(tol_mult)
     return MultiplicityPartition(groups=partition_values(values, tol_mult))
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, SpectrumError
-from .spectral import EigenBasis, group_bounds
+from .spectral import EigenBasis, check_tol_mult, group_bounds
 
 Signal2D = np.ndarray  # real (n1, n2) matrix; validated at function entry
 
@@ -214,8 +214,7 @@ def aggregate_to_1d(s: Spectrum2D, tol_mult: float) -> SpectrumGroup1D:
     invariant under re-basis inside degenerate eigenspaces, and their sum
     equals the total spectral power.
     """
-    if tol_mult <= 0:
-        raise SpectrumError(f"tol_mult must be positive, got {tol_mult}")
+    check_tol_mult(tol_mult)
     n1, n2 = s.shape
     sums = np.add.outer(s.lambdas1, s.lambdas2).ravel()
     power = s.power().ravel()

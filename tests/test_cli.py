@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -231,8 +230,8 @@ def _sweep_workdir(tmp_path, n1=7, n2=6, seed=3):
             "--observation", tmp_path / "y.csv")
 
 
-def test_closed_form_sweep_equals_one_point_runs(tmp_path):
-    denoise = _sweep_workdir(tmp_path)
+def _assert_sweep_equals_one_point_runs(tmp_path, *options):
+    denoise = (*_sweep_workdir(tmp_path), *options)
     assert run(*denoise, "--gamma1", "0.3,2", "--gamma2", "0,0.5,4",
                "--out", tmp_path / "x.csv", "--report", tmp_path / "sweep.json") == 0
     solves = json.loads((tmp_path / "sweep.json").read_text())["solves"]
@@ -245,6 +244,17 @@ def test_closed_form_sweep_equals_one_point_runs(tmp_path):
         assert Path(entry["out"]).read_bytes() == one.read_bytes()
         (single,) = json.loads((tmp_path / f"one{i}.json").read_text())["solves"]
         assert {**single, "out": entry["out"]} == entry
+    return solves
+
+
+def test_closed_form_sweep_equals_one_point_runs(tmp_path):
+    _assert_sweep_equals_one_point_runs(tmp_path)
+
+
+@pytest.mark.parametrize("exponent", ["1.5", "1"])
+def test_gradient_sweep_equals_one_point_runs(tmp_path, exponent):
+    solves = _assert_sweep_equals_one_point_runs(tmp_path, "--q1", exponent, "--q2", exponent)
+    assert {e["method"] for e in solves} == {"gradient"}
 
 
 def test_closed_form_sweep_transforms_the_observation_once(tmp_path, monkeypatch):
@@ -270,28 +280,11 @@ def test_closed_form_sweep_transforms_the_observation_once(tmp_path, monkeypatch
     assert sorted(calls) == ["eigenbasis", "eigenbasis", "gft_2d"]
 
 
-@pytest.mark.parametrize("exponent, pooled", [("2", False), ("1.5", True)])
-def test_only_gradient_sweeps_start_a_worker_pool(tmp_path, monkeypatch, exponent, pooled):
-    import mdgsp.cli as cli
-
-    pools = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
-    assert run(*_sweep_workdir(tmp_path), "--q1", exponent, "--q2", exponent,
-               "--gamma1", "0.3,2", "--gamma2", "0.5", "--max-iter", 50,
-               "--out", tmp_path / "x.csv") in (0, 5)
-    assert len(pools) == int(pooled)
-
-
-def test_closed_form_sweep_memory_does_not_grow_with_points(tmp_path):
-    denoise = _sweep_workdir(tmp_path, n1=120, n2=50)
+def _assert_sweep_memory_flat(tmp_path, *options):
+    denoise = (*_sweep_workdir(tmp_path, n1=120, n2=50), *options)
 
     def sweep(gammas1):
+        # a gradient sweep cut short by --max-iter exits 5; its outputs are still written
         return lambda: run(*denoise, "--gamma1", gammas1, "--gamma2", "0.1,0.7",
                            "--out", tmp_path / "x.csv")
 
@@ -301,6 +294,17 @@ def test_closed_form_sweep_memory_does_not_grow_with_points(tmp_path):
     # ten more points may not keep even one more 120 x 50 minimizer alive
     minimizer_mb = 120 * 50 * 8 / 2**20
     assert twelve < two + minimizer_mb
+
+
+def test_closed_form_sweep_memory_does_not_grow_with_points(tmp_path):
+    _assert_sweep_memory_flat(tmp_path)
+
+
+def test_gradient_sweep_memory_does_not_grow_with_points(tmp_path, monkeypatch):
+    # with two threads allowed, a sweep that solved points side by side would hold
+    # more than one minimizer
+    monkeypatch.setenv("MDGSP_THREADS", "2")
+    _assert_sweep_memory_flat(tmp_path, "--q1", "1.5", "--q2", "1.5", "--max-iter", 30)
 
 
 @pytest.mark.parametrize("gamma1, message", [
@@ -318,6 +322,20 @@ def test_unusable_gamma_sweep_is_a_usage_error(workdir, capsys, gamma1, message)
                "--out", workdir / "x.csv", "--report", workdir / "sweep.json") == 2
     err = capsys.readouterr().err
     assert err.startswith("mdgsp: error[usage]: ") and message in err
+    assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--tol", "0"),
+    ("--max-iter", "0"), ("--max-iter", "-5"),
+])
+def test_unusable_solver_limit_is_a_usage_error(workdir, capsys, option, value):
+    before = sorted(workdir.iterdir())
+    assert run("denoise", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--observation", workdir / "f.csv", "--q1", "1.5", "--gamma1", "0.5",
+               option, value, "--out", workdir / "x.csv", "--report", workdir / "r.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdgsp: error[usage]: {option} must be a finite number > 0")
     assert sorted(workdir.iterdir()) == before
 
 
@@ -778,6 +796,17 @@ def test_gft_aggregate_out(workdir):
     assert total == pytest.approx(np.sum(f**2), rel=1e-10)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_unusable_grouping_tolerance_is_a_usage_error(workdir, capsys, value):
+    before = sorted(workdir.iterdir())
+    assert run("gft", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--signal", workdir / "f.csv", "--out", workdir / "s.csv",
+               "--aggregate-out", workdir / "agg.csv", "--tol-mult", value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[usage]: --tol-mult must be a finite number > 0")
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_variation_local_csv(workdir):
     out = workdir / "var.json"
     local = workdir / "local.csv"
@@ -787,6 +816,22 @@ def test_variation_local_csv(workdir):
     lv = load_signal(local)
     assert lv.shape == (3, 4)
     assert np.all(lv >= 0)
+
+
+@pytest.mark.parametrize("options, message", [
+    (("--sizes", "foo"), "--sizes entry 'foo' is not N or N1xN2"),
+    (("--sizes", "3x"), "--sizes entry '3x' is not N or N1xN2"),
+    (("--sizes", "8,2"), "--sizes entry '2' has a cycle of fewer than 3 vertices"),
+    (("--sizes", "8", "--reps", "0"), "--reps must be a finite number > 0, got 0"),
+    (("--sizes", "8", "--check-equality", "0"), "--check-equality needs N >= 3"),
+    (("--sizes", "8", "--check-equality", "65"), "and N*N <= 4096, got 65"),
+], ids=["sizes-foo", "sizes-3x", "sizes-2", "reps-0", "check-equality-0", "check-equality-65"])
+def test_unusable_bench_option_is_a_usage_error(workdir, capsys, options, message):
+    before = sorted(workdir.iterdir())
+    assert run("bench", *options, "--out", workdir / "bench.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[usage]: ") and message in err
+    assert sorted(workdir.iterdir()) == before
 
 
 def test_bench_check_equality_flag(workdir):

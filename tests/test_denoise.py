@@ -105,7 +105,7 @@ def test_closed_form_reuses_precomputed_bases_exactly():
     y = rng.standard_normal((4, 5))
     params = EbemParams(p=2, gamma1=0.3, gamma2=1.1, q1=2, q2=2)
     fresh = ebem_minimize(y, g1, g2, params)
-    reused = ebem_minimize(y, g1, g2, params, b1=laplacian_basis(g1), b2=laplacian_basis(g2))
+    (reused,) = closed_form_sweep(y, g1, g2, [params], laplacian_basis(g1), laplacian_basis(g2))
     assert np.array_equal(fresh.minimizer, reused.minimizer)
 
 
@@ -227,6 +227,19 @@ def test_nonconvergence_is_reported_not_raised():
     rep = ebem_minimize(y, g1, g2, params, max_iter=5, tol=1e-14)
     assert not rep.converged
     assert rep.iterations == 5
+
+
+@pytest.mark.parametrize("p, nonunique", [(2.0, False), (1.0, True)])
+def test_only_an_l1_fidelity_may_leave_the_minimizer_nonunique(p, nonunique):
+    # with p > 1 the fidelity term is strictly convex, so the minimizer is unique
+    # however flat the q = 1 energy runs
+    rng = np.random.default_rng(11)
+    g1, g2 = grids()
+    y = rng.standard_normal((4, 5))
+    rep = ebem_minimize(y, g1, g2, EbemParams(p=p, gamma1=0.6, gamma2=0.4, q1=1, q2=1),
+                        max_iter=300)
+    assert rep.method == "gradient"
+    assert rep.maybe_nonunique is nonunique
 
 
 def _dense_energy(x, y, g1, g2, params):

@@ -223,6 +223,18 @@ def test_aggregate_p2_square_groups():
     assert sum(g.power for g in grp.groups) == pytest.approx(np.sum(f**2), rel=1e-12)
 
 
+@pytest.mark.parametrize("tol_mult", [np.nan, np.inf, 0.0, -1.0])
+def test_grouping_refuses_a_tolerance_that_is_not_finite_and_positive(tol_mult):
+    # a NaN or infinite tolerance would merge every frequency into one group
+    b1 = laplacian_basis(standard_graph("path", 3))
+    b2 = laplacian_basis(standard_graph("path", 4))
+    s = gft_2d(np.random.default_rng(5).standard_normal((3, 4)), b1, b2)
+    with pytest.raises(SpectrumError, match="finite number > 0"):
+        aggregate_to_1d(s, tol_mult)
+    with pytest.raises(SpectrumError, match="finite number > 0"):
+        multiplicity_partition(b2, tol_mult)
+
+
 def test_group_power_invariance_against_flattened_eigh_basis():
     # any orthonormal basis spanning the same eigenspaces gives the same
     # grouped powers as the 2-D route
