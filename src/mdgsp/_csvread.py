@@ -12,8 +12,8 @@ no plain token reads as NaN; one that overflows reads as inf, as with `float()`.
 Any other text, and any text that fails a check, raises `NotPlain`: the caller
 reads it again with its per-token reader, which gives the same value or words
 the error. Like the float encoder, this module is imported on first use, or by
-the commands that read CSV as they start, so that its compilation adds nothing
-to the start-up of the others.
+the CLI as a command starts, never by `import mdgsp.cli`, so that its
+compilation adds nothing to the start-up of a program that imports mdgsp.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ sign | integer (right-aligned) | '.' and leading fraction zeros | fraction
 are joined by dropping every NUL byte (`join`). Digits come four at a time
 from byte tables, with the NULs of leading (integer) or trailing (fraction)
 zeros built in. All tables are built on first use, not at import, and the
-writers import this module on first use too: without cached bytecode, its
-compilation would add to the start-up of every command.
+writers import this module on first use too, the CLI as a command starts:
+imported with the package, without cached bytecode, its compilation would add
+to the start-up of every program that imports mdgsp.
 """
 
 from __future__ import annotations

@@ -33,31 +33,13 @@ class SizeResult:
     naive_seconds: float | None
     eig_product_seconds: float | None
     naive_mode: str  # "materialized" | "streamed" | "skipped"
-    flops_fast: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "eig_factor_seconds": self.eig_factor_seconds,
-            "fast_seconds": self.fast_seconds,
-            "naive_seconds": self.naive_seconds,
-            "eig_product_seconds": self.eig_product_seconds,
-            "naive_mode": self.naive_mode,
-            "model_cost": self.flops_fast,
-        }
+    model_cost: float = 0.0  # n1^2 n2 + n1 n2^2, the fast path's flop model
 
 
 @dataclass
 class BenchReport:
     results: list[SizeResult] = field(default_factory=list)
     scaling_slope: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "results": [r.to_dict() for r in self.results],
-            "scaling_slope": self.scaling_slope,
-        }
 
 
 def _median_time(fn, repetitions: int) -> float:
@@ -135,7 +117,7 @@ def bench_sizes(sizes: list[tuple[int, int]], repetitions: int = 3,
         report.results.append(SizeResult(
             n1=n1, n2=n2, eig_factor_seconds=eig_factor, fast_seconds=fast,
             naive_seconds=naive_seconds, eig_product_seconds=eig_product,
-            naive_mode=mode, flops_fast=float(n1 * n1 * n2 + n1 * n2 * n2),
+            naive_mode=mode, model_cost=float(n1 * n1 * n2 + n1 * n2 * n2),
         ))
     report.scaling_slope = fit_scaling_slope(report.results)
     return report
@@ -196,7 +178,7 @@ def fit_scaling_slope(results: list[SizeResult]) -> float | None:
     usable = [r for r in results if r.fast_seconds > 0]
     if len(usable) < 2:
         return None
-    x = np.log([r.flops_fast for r in usable])
+    x = np.log([r.model_cost for r in usable])
     y = np.log([r.fast_seconds for r in usable])
     slope = float(np.polyfit(x, y, 1)[0])
     return slope

@@ -13,7 +13,9 @@ error class:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__, _env_threads
 from .bench import NAIVE_FULL_CAP, bench_sizes, equality_check
-from .denoise import EbemParams, closed_form_sweep, ebem_minimize
+from .denoise import DEFAULT_MAX_ITER, DEFAULT_TOL, EbemParams, closed_form_sweep, ebem_minimize
 from .errors import (
     DimensionError,
     FormatError,
@@ -68,13 +70,26 @@ _ERRORS = [
 
 EXIT_NONCONVERGENCE = 5
 
-# Commands that write CSV load the float encoder as they start, before their own
-# working set, and commands that read CSV the bulk reader: loaded at the first write
-# (read) instead, its long-lived objects would sit above that working set in the
-# malloc heap and keep it from shrinking, which raised the peak RSS of commands run
-# one after another in one process.
-_WRITES_CSV = {"gft", "filter", "denoise", "variation", "eig"}
-_READS_CSV = {"gft", "filter", "denoise", "variation", "render"}
+# Every numeric option, by argparse dest, with the test its value must pass and that
+# rule in words; `main` checks each one that the command has and that is given, before
+# any file is read. Options with compound rules (gammas, --sizes, --check-equality)
+# are checked by their commands.
+_POSITIVE = (lambda v: v > 0, "a finite number > 0")
+_OPTION_RULES = {
+    "tol": _POSITIVE,
+    "max_iter": _POSITIVE,
+    "tol_mult": _POSITIVE,
+    "reps": _POSITIVE,
+    "samples": _POSITIVE,
+    "seed": (lambda v: v >= 0, "a finite number >= 0"),
+}
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    for dest, (ok, rule) in _OPTION_RULES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not (ok(value) and abs(value) < math.inf):
+            raise UsageError(f"--{dest.replace('_', '-')} must be {rule}, got {value}")
 
 
 def _write_manifest(primary_out: str, command: str, args: argparse.Namespace,
@@ -88,13 +103,11 @@ def _write_manifest(primary_out: str, command: str, args: argparse.Namespace,
         "tool_version": __version__,
         "wall_seconds": elapsed,
     }
-    Path(str(primary_out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, default=str) + "\n"
-    )
+    _json_out(manifest, str(primary_out) + ".manifest.json")
 
 
 def _json_out(payload: dict, path: str) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def _factor_matrix(g, source: str = "laplacian") -> np.ndarray:
@@ -136,15 +149,7 @@ def cmd_eig(args) -> int:
     return 0
 
 
-def _check_positive(option: str, value: float) -> None:
-    """A usage error, raised before any file is read, unless `value` is finite and > 0."""
-    if not (np.isfinite(value) and value > 0):
-        raise UsageError(f"{option} must be a finite number > 0, got {value}")
-
-
 def cmd_gft(args) -> int:
-    if args.tol_mult is not None:
-        _check_positive("--tol-mult", args.tol_mult)
     b1, b2 = _factor_bases(args, args.source)
     f = load_signal(args.signal)
     if args.source == "laplacian":
@@ -155,7 +160,7 @@ def cmd_gft(args) -> int:
     if args.svg:
         save_spectrum_heatmap_svg(s, args.svg, title=Path(args.signal).name)
     if args.aggregate_out:
-        # a --tol-mult that was given is > 0 (checked above)
+        # a --tol-mult that was given is > 0 (checked in `main`)
         tol = args.tol_mult or default_tol_mult(np.concatenate([b1.values, b2.values]))
         Path(args.aggregate_out).write_text(aggregate_to_csv(aggregate_to_1d(s, tol)))
     return 0
@@ -173,9 +178,6 @@ def cmd_filter(args) -> int:
         # then extends the heap
         bases = _decompose(laplacians)
         out = spectral_filter_2d(load_signal(args.signal), kernel, *bases)
-    out = np.real_if_close(out, tol=100)
-    if np.iscomplexobj(out):
-        raise KernelError("filter output is complex; the signal CSV stores real values")
     save_signal(out, args.out)
     return 0
 
@@ -215,8 +217,6 @@ def _sweep_outputs(out: str, combos: list[tuple[float, float]]) -> list[Path]:
 
 
 def cmd_denoise(args) -> int:
-    _check_positive("--tol", args.tol)
-    _check_positive("--max-iter", args.max_iter)
     combos = [(a, b) for a in _gamma_list(args.gamma1) for b in _gamma_list(args.gamma2)]
     out_paths = _sweep_outputs(args.out, combos)
     sweep = [EbemParams(p=args.p, gamma1=a, gamma2=b, q1=args.q1, q2=args.q2)
@@ -385,12 +385,11 @@ def _bench_sizes(text: str) -> list[tuple[int, int]]:
 
 def cmd_bench(args) -> int:
     sizes = _bench_sizes(args.sizes)
-    _check_positive("--reps", args.reps)
     n = args.check_equality
     if n is not None and not (n >= 3 and n * n <= NAIVE_FULL_CAP):
         raise UsageError(f"--check-equality needs N >= 3 and N*N <= {NAIVE_FULL_CAP}, got {n}")
     report = bench_sizes(sizes, repetitions=args.reps, seed=args.seed, naive=not args.no_naive)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     if n is not None:
         payload["equality_discrepancy"] = equality_check(n, n, seed=args.seed)
     _json_out(payload, args.out)
@@ -412,14 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mdgsp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, factors=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
+        if factors:  # the two factor graphs of a product
+            p.add_argument("--g1", required=True)
+            p.add_argument("--g2", required=True)
         return p
 
-    p = add("product", cmd_product, "Cartesian product of two graph files")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("product", cmd_product, "Cartesian product of two graph files", factors=True)
     p.add_argument("--out", required=True)
 
     p = add("eig", cmd_eig, "eigendecomposition of one graph")
@@ -429,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--basis-out", default=None, help="optional binary eigenvector matrix")
 
-    p = add("gft", cmd_gft, "2-D spectrum of a signal on a product graph")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("gft", cmd_gft, "2-D spectrum of a signal on a product graph", factors=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--source", choices=["laplacian", "adjacency"], default="laplacian")
     p.add_argument("--out", required=True, help="spectrum CSV")
@@ -441,16 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-mult", type=float, default=None,
                    help="frequency coincidence tolerance for --aggregate-out")
 
-    p = add("filter", cmd_filter, "apply a spectral kernel file to a signal")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("filter", cmd_filter, "apply a spectral kernel file to a signal", factors=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("denoise", cmd_denoise, "energy-model denoising")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("denoise", cmd_denoise, "energy-model denoising", factors=True)
     p.add_argument("--observation", required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q1", type=float, default=2.0)
@@ -459,13 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma2", default="0", help="comma-separated values sweep a grid")
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--max-iter", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--force-gradient", action="store_true")
 
-    p = add("variation", cmd_variation, "directional variation report")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("variation", cmd_variation, "directional variation report", factors=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--direction", choices=["1", "2", "both"], default="both")
     p.add_argument("--out", required=True, help="JSON report")
@@ -519,12 +511,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
-    if args.command in _WRITES_CSV:
-        from . import _floattext  # noqa: F401
-    if args.command in _READS_CSV:
-        from . import _csvread  # noqa: F401
+    # the CSV codecs load before the command's working set: loaded at first use, their
+    # long-lived objects would sit above that set in the malloc heap and keep it from
+    # shrinking, which raised the peak RSS of commands run one after another
+    from . import _floattext, _csvread  # noqa: F401
     try:
         _env_threads()  # a bad MDGSP_THREADS is a usage error for every command
+        _check_options(args)
         rc = args.func(args)
     except (MdgspError, MemoryError) as exc:
         code, slug = next((code, slug) for cls, code, slug in _ERRORS if isinstance(exc, cls))

@@ -585,9 +585,12 @@ def _pooled_slice_simdiag(T: np.ndarray, U: np.ndarray, direction: int) -> float
 def _mc_tol(m: int, tol: float | None) -> float:
     """The threshold a test of M samples uses: `tol`, or 5/sqrt(M) for None.
 
-    Raises when M < 2 or when 5/sqrt(M) exceeds `tol`, which M samples
-    cannot resolve; both are known before any sample is drawn.
+    Raises when `tol` is given but is not a finite number > 0, when M < 2, or
+    when 5/sqrt(M) exceeds `tol`, which M samples cannot resolve; all are known
+    before any sample is drawn.
     """
+    if tol is not None and not 0 < tol < np.inf:
+        raise SamplingError(f"tol must be a finite number > 0, got {tol}")
     if m < 2:
         raise SamplingError(f"need at least 2 samples, got {m}")
     if tol is None:

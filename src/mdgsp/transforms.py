@@ -45,9 +45,6 @@ class Spectrum2D:
         with np.errstate(over="ignore"):
             return np.abs(self.values[rows]) ** 2
 
-    def total_power(self) -> float:
-        return float(np.sum(self.power()))
-
 
 @dataclass(frozen=True)
 class SpectralGroup:

@@ -37,7 +37,7 @@ def test_streamed_mode_above_cap():
 def test_scaling_slope_of_exact_model():
     results = [
         SizeResult(n, n, 0.0, 1e-9 * (2 * n**3), None, None, "skipped",
-                   flops_fast=float(2 * n**3))
+                   model_cost=float(2 * n**3))
         for n in (64, 128, 256)
     ]
     slope = fit_scaling_slope(results)
@@ -47,7 +47,7 @@ def test_scaling_slope_of_exact_model():
 def test_doubling_one_factor_tracks_model_cost():
     rep = bench_sizes([(96, 96), (96, 192)], repetitions=9, naive=False)
     t1, t2 = (r.fast_seconds for r in rep.results)
-    c1, c2 = (r.flops_fast for r in rep.results)
+    c1, c2 = (r.model_cost for r in rep.results)
     measured = t2 / t1
     predicted = c2 / c1
     assert measured / predicted < 2.5 and predicted / measured < 2.5

@@ -586,6 +586,28 @@ def test_doomed_test_fails_before_sampling(workdir, monkeypatch, capsys, samples
     assert not out.exists() and list(workdir.glob("*.tmp")) == []
 
 
+@pytest.mark.parametrize("option, value, rule", [
+    ("--tol", "nan", "> 0"), ("--tol", "inf", "> 0"), ("--tol", "0", "> 0"),
+    ("--tol", "-1", "> 0"), ("--samples", "0", "> 0"), ("--samples", "-3", "> 0"),
+    ("--seed", "-1", ">= 0"),
+])
+def test_unusable_stationarity_option_is_a_usage_error(workdir, monkeypatch, capsys,
+                                                        option, value, rule):
+    from mdgsp import WhiteNoise2D
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples for a refused option")
+
+    monkeypatch.setattr(WhiteNoise2D, "_draw", refuse)
+    argv = stationarity_argv(workdir, "fgw", 100, "--mode", "test", "--out",
+                             workdir / "y.npy", option, value)
+    before = sorted(workdir.iterdir())
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mdgsp: error[usage]: {option} must be a finite number {rule}")
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_failed_path_check_leaves_no_sample_dump(workdir, monkeypatch, capsys):
     # a basis that does not belong to the Laplacian fails the path check,
     # which is judged after the last chunk has been written
@@ -825,7 +847,9 @@ def test_variation_local_csv(workdir):
     (("--sizes", "8", "--reps", "0"), "--reps must be a finite number > 0, got 0"),
     (("--sizes", "8", "--check-equality", "0"), "--check-equality needs N >= 3"),
     (("--sizes", "8", "--check-equality", "65"), "and N*N <= 4096, got 65"),
-], ids=["sizes-foo", "sizes-3x", "sizes-2", "reps-0", "check-equality-0", "check-equality-65"])
+    (("--sizes", "8", "--seed", "-1"), "--seed must be a finite number >= 0, got -1"),
+], ids=["sizes-foo", "sizes-3x", "sizes-2", "reps-0", "check-equality-0", "check-equality-65",
+        "seed-minus-1"])
 def test_unusable_bench_option_is_a_usage_error(workdir, capsys, options, message):
     before = sorted(workdir.iterdir())
     assert run("bench", *options, "--out", workdir / "bench.json") == 2

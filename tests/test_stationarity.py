@@ -459,6 +459,20 @@ def test_insufficient_samples_raise(p3p4):
         fgw_report(batch, b1, b2, tol=0.01)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_unusable_tolerance_is_refused(p3p4, tol):
+    # an infinite tol passes any batch and a NaN one reports a NaN threshold; this
+    # batch, with a zeroed row and a scaled column, is far from stationary
+    _, _, b1, b2 = p3p4
+    batch = WhiteNoise2D(3, 4, seed=1).batch(400)
+    batch[:, 0, :] = 0.0
+    batch[:, :, 1] *= 10.0
+    with pytest.raises(SamplingError, match="tol must be a finite number > 0"):
+        fgw_report(batch, b1, b2, tol=tol)
+    with pytest.raises(SamplingError, match="tol must be a finite number > 0"):
+        directional_report(batch, 1, b1, tol=tol)
+
+
 def test_rademacher_fgw_also_passes(p3p4):
     # distribution independence stress: same second-moment structure
     L1, L2, b1, b2 = p3p4
