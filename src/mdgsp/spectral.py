@@ -180,19 +180,6 @@ def vandermonde(values: np.ndarray, ncols: int | None = None) -> np.ndarray:
     return np.power.outer(values, np.arange(ncols, dtype=np.float64))
 
 
-def float_reprs(a: np.ndarray) -> list[str]:
-    """Shortest round-trip text of every entry of a real array, in C order.
-
-    This is `repr` of each entry as a Python float, which is how every CSV
-    writer prints a float; like the writers, it formats the array in bulk
-    (`_floattext`), byte for byte the same as calling `repr` on each.
-    """
-    from . import _floattext as ft  # on first use: see its docstring
-
-    x = np.asarray(a, dtype=np.float64).ravel()
-    return "".join(ft.rows([x])).split("\n")[:-1]
-
-
 def spectrum_to_csv(values: np.ndarray) -> str:
     """CSV (index, eigenvalue) with shortest round-trip float formatting."""
     from . import _floattext as ft  # on first use: see its docstring

@@ -305,8 +305,7 @@ class _SampleChunks:
         """`_test_chunks` of these chunks, each also handed to `sink`: the fgw test and
         both directional tests for fgw, one directional test otherwise. A sample
         count that cannot meet `tol` raises before the first draw."""
-        _mc_tol(self.count, tol)
-        return _test_chunks(self, self.spectra, tol, self.directions, sink)
+        return _test_chunks(self, self.count, self.spectra, tol, self.directions, sink)
 
 
 def _fgw_chunks(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, count: int,
@@ -565,23 +564,6 @@ def test_simdiag(C: np.ndarray, U: np.ndarray, tol: float, name: str = "simdiag"
     return DiagnosticReport(name=name, statistic=stat, threshold=tol, verdict=stat <= tol, m=m)
 
 
-def _pooled_slice_simdiag(T: np.ndarray, U: np.ndarray, direction: int) -> float:
-    """Pooled off-diagonal energy of all rotated slice covariances.
-
-    direction 1 pools the n2 x n2 family Cov(x(., i2), x(., j2)) rotated by
-    the given factor basis; direction 2 pools the transposed family.
-    """
-    # stack the slices as (outer, outer, inner, inner) and rotate them at once
-    slices = T.transpose(1, 3, 0, 2) if direction == 1 else T.transpose(0, 2, 1, 3)
-    rotated = U.conj().T @ slices @ U
-    diag = np.arange(U.shape[0])
-    rotated[..., diag, diag] = 0.0
-    total_energy = float(np.sum(np.abs(slices) ** 2))
-    if total_energy == 0.0:
-        return 0.0
-    return float(np.sqrt(np.sum(np.abs(rotated) ** 2) / total_energy))
-
-
 def _mc_tol(m: int, tol: float | None) -> float:
     """The threshold a test of M samples uses: `tol`, or 5/sqrt(M) for None.
 
@@ -601,9 +583,10 @@ def _mc_tol(m: int, tol: float | None) -> float:
     return tol
 
 
-def _split_reports(cov: CovTensor, tol: float | None,
+def _split_reports(cov: CovTensor, tol: float,
                    directions: tuple[int, ...] = (1, 2)) -> tuple[DiagnosticReport, ...]:
-    """Reports from one energy split of a spectral covariance C of M = `cov.m` samples.
+    """Reports at threshold `tol` (see `_mc_tol`) from one energy split of a spectral
+    covariance C of M = `cov.m` samples.
 
     C is the covariance of the samples transformed along both factors
     (`spectra_of`; the fgw report comes first, then one per direction) or
@@ -615,7 +598,6 @@ def _split_reports(cov: CovTensor, tol: float | None,
     E_total (samples with inf or NaN, or too large to square) raises.
     """
     m = cov.m
-    tol = _mc_tol(m, tol)
     energy = np.abs(cov.values) ** 2  # (k1, k2, l1, l2)
     n1, n2 = energy.shape[:2]
     i1, i2 = np.arange(n1), np.arange(n2)
@@ -660,11 +642,14 @@ def _split_reports(cov: CovTensor, tol: float | None,
     return (fgw,) + directional
 
 
-def _test_chunks(chunks: Iterable[np.ndarray], spectra: Callable, tol: float | None,
-                 directions: tuple[int, ...], sink: Callable | None = None
+def _test_chunks(chunks: Iterable[np.ndarray], count: int, spectra: Callable,
+                 tol: float | None, directions: tuple[int, ...], sink: Callable | None = None
                  ) -> tuple[DiagnosticReport, ...]:
-    """The streaming stationarity test: each chunk of samples goes to `sink` (if
-    given), then its `spectra` join one covariance, which `_split_reports` splits."""
+    """The streaming stationarity test of `count` samples: the threshold comes first
+    (`_mc_tol`, so a count that cannot meet `tol` raises before any chunk), then each
+    chunk goes to `sink` (if given) and its `spectra` join one covariance, which
+    `_split_reports` splits."""
+    tol = _mc_tol(count, tol)
     acc = _CovAccumulator()
     for X in chunks:
         if sink is not None:
@@ -686,8 +671,9 @@ def test_fgw_stationarity(samples, b1: EigenBasis, b2: EigenBasis,
     k2 != l2, is reported but not part of the verdict. `tol=None` means
     5/sqrt(M).
     """
-    chunks = _row_chunks(_as_batch(samples, b1.n, b2.n))
-    return _test_chunks(chunks, lambda X: spectra_of(X, b1, b2), tol, (1, 2))[0]
+    batch = _as_batch(samples, b1.n, b2.n)
+    return _test_chunks(_row_chunks(batch), len(batch), lambda X: spectra_of(X, b1, b2),
+                        tol, (1, 2))[0]
 
 
 def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
@@ -701,5 +687,6 @@ def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
     blocks) are this one quantity. `tol=None` means 5/sqrt(M).
     """
     _check_direction(direction)
-    return _test_chunks(_row_chunks(_as_batch(samples)),
+    batch = _as_batch(samples)
+    return _test_chunks(_row_chunks(batch), len(batch),
                         lambda X: half_spectra_of(X, basis, direction), tol, (direction,))[0]

@@ -331,7 +331,7 @@ def _signal_row(ln: int, line: str) -> np.ndarray:
 
 def _signal_from_lines(lines: Iterable[str]) -> Signal2D:
     """The signal whose CSV lines (blank ends already dropped) are `lines`, parsed one
-    row at a time, so no copy of the whole text is needed."""
+    row at a time."""
     rows = list(starmap(_signal_row, enumerate(lines, start=1)))
     if not rows:
         raise FormatError("signal CSV is empty")
@@ -355,30 +355,6 @@ def signal_from_csv(text: str) -> Signal2D:
         return _signal_from_lines(text.strip().splitlines())
 
 
-def _stripped_lines(physical: Iterable[str]) -> Iterator[str]:
-    """`text.strip().splitlines()` one line at a time, where `text` joins `physical`.
-
-    Blank lines are held back until a nonblank one follows, so trailing ones are
-    dropped; the first nonblank line loses its leading whitespace, the last its
-    trailing whitespace.
-    """
-    last, blank = None, []
-    for line in chain.from_iterable(map(str.splitlines, physical)):
-        if not line.strip():
-            if last is not None:
-                blank.append(line)
-            continue
-        if last is None:
-            line = line.lstrip()
-        else:
-            yield last
-            yield from blank
-            blank.clear()
-        last = line
-    if last is not None:
-        yield last.rstrip()
-
-
 def _write_chunks(chunks: Iterator[str], path: str | Path) -> None:
     """Write text chunk by chunk, so the whole text never exists at once."""
     with open(path, "w") as out:
@@ -391,17 +367,15 @@ def save_signal(f: Signal2D, path: str | Path) -> None:
 
 
 def load_signal(path: str | Path) -> Signal2D:
-    """`signal_from_csv` of a file, read in blocks of whole lines (line by line if the
-    file is not plain)."""
+    """`signal_from_csv` of a file, read in blocks of whole lines (whole if the file
+    is not plain)."""
     from . import _csvread as bulk  # on first use: see its docstring
 
     try:
         with open(path, "rb") as raw:
             return bulk.signal(bulk.file_chunks(raw))
     except bulk.NotPlain:
-        pass
-    with open(path) as physical:
-        return _signal_from_lines(_stripped_lines(physical))
+        return _signal_from_lines(Path(path).read_text().strip().splitlines())
 
 
 _SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power"

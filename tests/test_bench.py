@@ -2,7 +2,7 @@
 
 import pytest
 
-from mdgsp import MdgspError
+from mdgsp import MdgspError, ProductGraph, matrices
 from mdgsp.bench import SizeResult, bench_sizes, equality_check, fit_scaling_slope
 
 
@@ -26,6 +26,18 @@ def test_bench_sizes_small_materialized():
     assert r.naive_mode == "materialized"
     assert r.fast_seconds > 0 and r.naive_seconds > 0
     assert r.eig_product_seconds is not None
+
+
+def test_naive_path_builds_only_the_product_laplacian(monkeypatch):
+    # the product Laplacian is the Kronecker sum of the factor Laplacians; building
+    # the product's matrices would also build its dense adjacency
+    def refuse_products(g):
+        assert not isinstance(g, ProductGraph), "built the product graph's matrices"
+        return matrices(g)
+
+    monkeypatch.setattr("mdgsp.bench.matrices", refuse_products)
+    assert bench_sizes([(6, 8)], repetitions=1).results[0].naive_mode == "materialized"
+    assert equality_check(8, 8) <= 1e-9
 
 
 def test_streamed_mode_above_cap():

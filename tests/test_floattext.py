@@ -18,7 +18,6 @@ import pytest
 
 import mdgsp
 from mdgsp import _floattext as ft
-from mdgsp.spectral import float_reprs
 
 N = 1_000_000
 CHUNK = 1 << 17
@@ -117,15 +116,6 @@ def test_values_on_a_rounding_boundary_go_to_repr():
     floats = ft.Floats(x)
     assert floats.slow.tolist() == [0, 1, 2, 4]
     assert assert_repr_text(x) == 3
-
-
-def test_float_reprs_is_repr_in_c_order():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-8, 20, (40, 3))
-    a[0, :] = [0.0, -np.inf, np.nan]
-    assert float_reprs(a) == [repr(v) for v in a.ravel().tolist()]
-    assert float_reprs(np.arange(5)) == ["0.0", "1.0", "2.0", "3.0", "4.0"]
-    assert float_reprs(np.zeros(0)) == []
 
 
 def test_integer_columns_print_as_str():

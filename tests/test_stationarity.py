@@ -473,6 +473,29 @@ def test_unusable_tolerance_is_refused(p3p4, tol):
         directional_report(batch, 1, b1, tol=tol)
 
 
+@pytest.fixture
+def no_spectra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample was transformed")
+
+    monkeypatch.setattr(stationarity, "spectra_of", refuse)
+    monkeypatch.setattr(stationarity, "half_spectra_of", refuse)
+
+
+def test_fgw_test_refuses_an_unreachable_tol_before_any_spectrum(p3p4, no_spectra):
+    _, _, b1, b2 = p3p4
+    batch = WhiteNoise2D(3, 4, seed=1).batch(100)
+    with pytest.raises(SamplingError, match="insufficient samples"):
+        fgw_report(batch, b1, b2, tol=0.01)
+
+
+def test_directional_test_refuses_a_nan_tol_before_any_spectrum(p3p4, no_spectra):
+    _, _, b1, _ = p3p4
+    batch = WhiteNoise2D(3, 4, seed=1).batch(100)
+    with pytest.raises(SamplingError, match="tol must be a finite number > 0"):
+        directional_report(batch, 1, b1, tol=np.nan)
+
+
 def test_rademacher_fgw_also_passes(p3p4):
     # distribution independence stress: same second-moment structure
     L1, L2, b1, b2 = p3p4
@@ -512,25 +535,6 @@ def ref_pooled_slice_simdiag(T, U, direction):
     if total_energy == 0.0:
         return 0.0
     return float(np.sqrt(off_energy / total_energy))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("direction", [1, 2])
-def test_pooled_slice_statistic_matches_slice_loop(seed, direction):
-    rng = np.random.default_rng(seed)
-    n1, n2 = 5, 7
-    samples = rng.standard_normal((40, n1, n2)) * rng.uniform(0.1, 3.0, (n1, n2))
-    covariances = [estimate_cov(samples).values, rng.standard_normal((n1, n2, n1, n2))]
-    n = n1 if direction == 1 else n2
-    bases = [np.linalg.qr(rng.standard_normal((n, n)))[0],
-             np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]]
-    for T in covariances:
-        for U in bases:
-            got = stationarity._pooled_slice_simdiag(T, U, direction)
-            want = ref_pooled_slice_simdiag(T, U, direction)
-            assert got == pytest.approx(want, rel=1e-12)
-    assert stationarity._pooled_slice_simdiag(np.zeros((n1, n2, n1, n2)), bases[0],
-                                              direction) == 0.0
 
 
 # ---------------------------------------------------------------- one energy split
@@ -577,8 +581,7 @@ def test_split_statistics_equal_reference_routes(n1, n2, m, bases, batch_kind):
     C = estimate_cov(spectra_of(batch, b1, b2)).as_matrix()
     k1, k2 = np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1)
     want = [
-        max(stationarity._pooled_slice_simdiag(T, U1, 1),
-            stationarity._pooled_slice_simdiag(T, U2, 2)),
+        max(ref_pooled_slice_simdiag(T, U1, 1), ref_pooled_slice_simdiag(T, U2, 2)),
         masked_ratio(C, ~np.eye(n, dtype=bool)),
         simdiag_report(T.reshape(n, n), np.kron(U1, U2), tol=1.0).statistic,
         masked_ratio(C, (k1[:, None] != k1[None, :]) & (k2[:, None] != k2[None, :])),
@@ -588,13 +591,13 @@ def test_split_statistics_equal_reference_routes(n1, n2, m, bases, batch_kind):
 
     # the command line takes both directional reports from the fgw split
     _, *from_split = stationarity._split_reports(estimate_cov(spectra_of(batch, b1, b2)),
-                                                 None)
+                                                 stationarity.default_mc_tol(m))
     for d, basis, freq in ((1, b1, k1), (2, b2, k2)):
         rep = directional_report(batch, d, basis)
         assert [r.name for r in rep.sub] == ["condition1_slice_simdiag",
                                              "condition2_cross_frequency_blocks"]
         half = estimate_cov(half_spectra_of(batch, basis, d)).as_matrix()
-        want = [stationarity._pooled_slice_simdiag(T, basis.vectors, d),
+        want = [ref_pooled_slice_simdiag(T, basis.vectors, d),
                 masked_ratio(half, freq[:, None] != freq[None, :])]
         for got, ref in zip(rep.sub, want):
             assert got.statistic == pytest.approx(ref, rel=1e-12)
