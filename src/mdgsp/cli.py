@@ -39,7 +39,7 @@ from .errors import (
 )
 from .filtering import PolyKernel2D, float_array, load_kernel
 from .filtering import polynomial_filter_vertex, spectral_filter_2d
-from .graphs import cartesian_product, load_graph, matrices, save_graph
+from .graphs import _json_object, cartesian_product, load_graph, matrices, save_graph
 from .render import save_spectrum_heatmap_svg
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
 from .stationarity import DirectionalProcess, FgwProcess, _directional_chunks, _fgw_chunks
@@ -59,6 +59,7 @@ from .variation import total_directional_variation
 _ERRORS = [
     (UsageError, 2, "usage"),
     (FormatError, 3, "format"),
+    (UnicodeDecodeError, 3, "format"),  # an input file that is not UTF-8 text
     (GraphError, 3, "graph"),
     (DimensionError, 4, "dimension-mismatch"),
     (MemoryError, 6, "allocation"),
@@ -285,13 +286,8 @@ def cmd_variation(args) -> int:
 
 
 def _load_coeffs(path: str, kind: str):
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid coefficients JSON: {exc}") from exc
     key, what = ("h", "2-D array") if kind == "fgw" else ("hs", "list of square matrices")
-    if not isinstance(payload, dict) or key not in payload:
-        raise FormatError(f'{kind} coefficients need key "{key}" ({what})')
+    payload = _json_object(Path(path).read_text(), f"{kind} coefficients", key)
     coeffs = float_array(payload[key], f'coefficients "{key}"')
     square = coeffs.ndim == 3 and coeffs.shape[1] == coeffs.shape[2]
     if not (coeffs.ndim <= 2 if kind == "fgw" else square) or not np.isfinite(coeffs).all():
@@ -304,15 +300,14 @@ def _npy_rows(path: str | None, shape: tuple[int, ...]):
     """Write a float64 `.npy` of `shape` one chunk of rows at a time.
 
     Yields the function that appends a chunk. The bytes are those of
-    `np.save` of the whole array, and like `np.save` a path without the
-    `.npy` suffix gets it. The file is written under a temporary sibling
-    name and renamed into place only when the block completes, so a failed
-    run leaves no file. With no path the chunks are dropped.
+    `np.save` of the whole array. The file is written under a temporary
+    sibling name and renamed into place only when the block completes, so a
+    failed run leaves no file. With no path the chunks are dropped.
     """
     if not path:
         yield lambda rows: None
         return
-    target = Path(path if path.endswith(".npy") else path + ".npy")
+    target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
@@ -327,14 +322,11 @@ def _npy_rows(path: str | None, shape: tuple[int, ...]):
 
 
 def cmd_stationarity(args) -> int:
+    if args.kind != "mv" and not args.g2:
+        raise UsageError(f"--kind {args.kind} needs --g2")
     L1 = matrices(load_graph(args.g1)).L
     coeffs = _load_coeffs(args.coeffs, args.kind)
-    L2 = None
-    if args.kind != "mv":
-        if not args.g2:
-            what = "fgw" if args.kind == "fgw" else "directional"
-            raise FormatError(f"{what} stationarity needs --g2")
-        L2 = matrices(load_graph(args.g2)).L
+    L2 = None if args.kind == "mv" else matrices(load_graph(args.g2)).L
 
     # the same chunks feed the sample dump and the covariance of the test; only the
     # factors the process is polynomial in are decomposed
@@ -357,6 +349,8 @@ def cmd_stationarity(args) -> int:
     }
     if args.out:
         payload["out"] = args.out
+        if not args.out.endswith(".npy"):
+            args.out += ".npy"  # the name `np.save` gives the file, which the manifest goes beside
     with _npy_rows(args.out, chunks.shape) as write:
         if args.mode == "test":
             reps = chunks.test(args.tol, write)
@@ -493,12 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _primary_output(args) -> str | None:
-    for attr in ("out", "report", "svg"):
-        value = getattr(args, attr, None)
-        if value:
-            return str(value)
-    return None
+def _primary_output(args) -> str:
+    """The first given of `--out`, `--report` and `--svg`: every command requires one."""
+    return next(str(v) for v in (getattr(args, a, None) for a in ("out", "report", "svg")) if v)
 
 
 def _inputs(args) -> list[str]:
@@ -519,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         _env_threads()  # a bad MDGSP_THREADS is a usage error for every command
         _check_options(args)
         rc = args.func(args)
-    except (MdgspError, MemoryError) as exc:
+    except (MdgspError, MemoryError, UnicodeDecodeError) as exc:
         code, slug = next((code, slug) for cls, code, slug in _ERRORS if isinstance(exc, cls))
         print(f"mdgsp: error[{slug}]: {exc}", file=sys.stderr)
         return code
@@ -527,9 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"mdgsp: error[io]: {exc}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - t0
-    primary = _primary_output(args)
-    if primary is not None:
-        _write_manifest(primary, args.command, args, _inputs(args), elapsed)
+    _write_manifest(_primary_output(args), args.command, args, _inputs(args), elapsed)
     return rc
 
 

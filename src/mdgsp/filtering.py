@@ -12,7 +12,6 @@ last nonzero coefficient (`_true_degree`), so zero padding costs nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -20,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, FormatError, KernelError
-from .graphs import ProductGraph, hop_distances
+from .graphs import ProductGraph, _json_object, hop_distances
 from .spectral import EigenBasis
-from .transforms import Signal2D, Spectrum2D, gft_2d, inverse_gft_2d
+from .transforms import Signal2D, Spectrum2D, _check_shape, gft_2d, inverse_gft_2d
 
 IMAG_RESIDUE_TOL = 1e-10
 
@@ -154,12 +153,10 @@ def polynomial_filter_vertex(f: Signal2D, kernel: PolyKernel2D,
     Needs no eigendecomposition and agrees with the spectral path for the
     same polynomial kernel.
     """
-    f = np.asarray(f)
     L1 = np.asarray(L1, dtype=np.float64)
     L2 = np.asarray(L2, dtype=np.float64)
-    if f.shape != (L1.shape[0], L2.shape[0]):
-        raise DimensionError(f"signal shape {f.shape}, expected ({L1.shape[0]}, {L2.shape[0]})")
-    return _poly_apply(L1, f.astype(np.float64), _right_stack(kernel.H, L2), axis=0)
+    f = _check_shape(f, (L1.shape[0], L2.shape[0]), "signal", np.float64)
+    return _poly_apply(L1, f, _right_stack(kernel.H, L2), axis=0)
 
 
 def _true_degree(C: np.ndarray, axis: int) -> np.ndarray:
@@ -261,12 +258,7 @@ def kernel_from_json(text: str) -> SpectralKernel2D | PolyKernel2D:
                   in l1 and l2,
       sum-1d:     coeffs is one 1-D polynomial coefficient list in l1+l2.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid kernel JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "kind" not in payload:
-        raise FormatError('kernel JSON must be an object with a "kind" key')
+    payload = _json_object(text, "kernel", "kind")
     kind = payload["kind"]
     coeffs = payload.get("coeffs")
     params = payload.get("params", {})

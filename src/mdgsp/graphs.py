@@ -323,14 +323,22 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def graph_from_json(text: str) -> Graph:
-    """Parse and validate the JSON graph format used by the CLI."""
+def _json_object(text: str, what: str, *keys: str) -> dict:
+    """The JSON object that `text` holds, with every one of `keys`; else FormatError
+    naming the `what` JSON. Every JSON input file is read through this."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid graph JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
-        raise FormatError('graph JSON must be an object with keys "n" and "edges"')
+        raise FormatError(f"invalid {what} JSON: {exc}") from exc
+    if not isinstance(payload, dict) or not all(k in payload for k in keys):
+        names = " and ".join(map(json.dumps, keys))
+        raise FormatError(f"{what} JSON must be an object with {names}")
+    return payload
+
+
+def graph_from_json(text: str) -> Graph:
+    """Parse and validate the JSON graph format used by the CLI."""
+    payload = _json_object(text, "graph", "n", "edges")
     n = payload["n"]
     edges = payload["edges"]
     if type(n) is not int or not isinstance(edges, list):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionError, SamplingError
 from .filtering import PolyKernel2D, _poly_apply, _right_stack, _true_degree
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, vandermonde
-from .transforms import _analyze, _synthesize
+from .transforms import _analyze, _check_shape, _synthesize
 
 PATH_AGREE_TOL = 1e-9
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of float 1.0
@@ -219,15 +219,6 @@ def default_mc_tol(m: int) -> float:
     return 5.0 / np.sqrt(m)
 
 
-def _as_batch(samples, n1: int | None = None, n2: int | None = None) -> np.ndarray:
-    """A stack of 2-D samples, checked to be n1 x n2 where those are given."""
-    batch = np.asarray(samples)
-    if batch.ndim != 3 or (n1 or batch.shape[1], n2 or batch.shape[2]) != batch.shape[1:]:
-        raise DimensionError(f"expected a stack of {n1 or 'any'} x {n2 or 'any'} samples, "
-                             f"got shape {batch.shape}")
-    return batch
-
-
 def _check_direction(direction: int) -> None:
     if direction not in (1, 2):
         raise SamplingError(f"direction must be 1 or 2, got {direction}")
@@ -358,9 +349,7 @@ def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis,
     to be distinct (otherwise the power matrices are singular) and Gamma
     to be entrywise nonnegative.
     """
-    Gamma = np.asarray(Gamma, dtype=np.float64)
-    if Gamma.shape != (b1.n, b2.n):
-        raise DimensionError(f"Gamma shape {Gamma.shape}, expected ({b1.n}, {b2.n})")
+    Gamma = _check_shape(Gamma, (b1.n, b2.n), "Gamma", np.float64)
     if np.any(Gamma < 0):
         raise SamplingError("Gamma must be entrywise nonnegative")
     _require_distinct(b1.values, tol_distinct, "first factor")
@@ -474,14 +463,14 @@ def sample_multivariate(Hs, L: np.ndarray, seed: int, count: int, distribution: 
 
 def spectra_of(samples, b1: EigenBasis, b2: EigenBasis) -> np.ndarray:
     """2-D spectra of a stack of samples, as one (M, n1, n2) array."""
-    return _analyze(_analyze(_as_batch(samples, b1.n, b2.n), b1, 1), b2, 2)
+    return _analyze(_analyze(_check_shape(samples, (None, b1.n, b2.n), "samples"), b1, 1), b2, 2)
 
 
 def half_spectra_of(samples, basis: EigenBasis, direction: int) -> np.ndarray:
     """Transform each sample along one factor only (direction 1 or 2)."""
     _check_direction(direction)
-    sizes = (basis.n, None) if direction == 1 else (None, basis.n)
-    return _analyze(_as_batch(samples, *sizes), basis, 1 if direction == 1 else 2)
+    shape = (None, basis.n, None) if direction == 1 else (None, None, basis.n)
+    return _analyze(_check_shape(samples, shape, "samples"), basis, direction)
 
 
 class _CovAccumulator:
@@ -526,7 +515,7 @@ def estimate_cov(samples) -> CovTensor:
     set; Hermitian symmetry holds by construction.
     """
     acc = _CovAccumulator()
-    for chunk in _row_chunks(_as_batch(samples)):
+    for chunk in _row_chunks(_check_shape(samples, (None, None, None), "samples")):
         acc.add(chunk)
     return acc.covariance()
 
@@ -671,7 +660,7 @@ def test_fgw_stationarity(samples, b1: EigenBasis, b2: EigenBasis,
     k2 != l2, is reported but not part of the verdict. `tol=None` means
     5/sqrt(M).
     """
-    batch = _as_batch(samples, b1.n, b2.n)
+    batch = _check_shape(samples, (None, b1.n, b2.n), "samples")
     return _test_chunks(_row_chunks(batch), len(batch), lambda X: spectra_of(X, b1, b2),
                         tol, (1, 2))[0]
 
@@ -687,6 +676,6 @@ def test_directional_stationarity(samples, direction: int, basis: EigenBasis,
     blocks) are this one quantity. `tol=None` means 5/sqrt(M).
     """
     _check_direction(direction)
-    batch = _as_batch(samples)
+    batch = _check_shape(samples, (None, None, None), "samples")
     return _test_chunks(_row_chunks(batch), len(batch),
                         lambda X: half_spectra_of(X, basis, direction), tol, (direction,))[0]

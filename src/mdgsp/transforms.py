@@ -103,11 +103,19 @@ class _GroupView(Sequence):
         )
 
 
-def _check_signal(f: np.ndarray, n: int | tuple[int, ...], what: str = "signal") -> np.ndarray:
-    f = np.asarray(f)
-    shape = (n,) if isinstance(n, int) else tuple(n)
-    if f.shape != shape:
-        raise DimensionError(f"{what} has shape {f.shape}, expected {shape}")
+def _check_shape(x, shape: tuple[int | None, ...], what: str, dtype=None) -> np.ndarray:
+    """x as an array (converted to `dtype` if given) of `shape`, where a None axis matches
+    any length; else DimensionError "<what> has shape <got>, expected <want>"."""
+    x = np.asarray(x, dtype=dtype)
+    if x.ndim != len(shape) or any(w is not None and w != n for n, w in zip(x.shape, shape)):
+        want = str(tuple(None if w is None else int(w) for w in shape)).replace("None", "any")
+        raise DimensionError(f"{what} has shape {x.shape}, expected {want}")
+    return x
+
+
+def _check_signal(f: np.ndarray, shape: tuple[int | None, ...], what: str = "signal") -> np.ndarray:
+    """`_check_shape` of f, whose entries must also be finite."""
+    f = _check_shape(f, shape, what)
     if not np.all(np.isfinite(f)):
         raise DimensionError(f"{what} has non-finite entries")
     return f
@@ -134,11 +142,11 @@ def _synthesize(x: np.ndarray, basis: EigenBasis, axis: int) -> np.ndarray:
 
 def gft_1d(f: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """Expansion coefficients of f in the eigenbasis: fhat_k = <f, u_k>."""
-    return _analyze(_check_signal(f, basis.n), basis, 0)
+    return _analyze(_check_signal(f, (basis.n,)), basis, 0)
 
 
 def inverse_gft_1d(fhat: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    return _synthesize(_check_signal(fhat, basis.n, "spectrum"), basis, 0)
+    return _synthesize(_check_signal(fhat, (basis.n,), "spectrum"), basis, 0)
 
 
 def gft_2d(f: Signal2D, b1: EigenBasis, b2: EigenBasis) -> Spectrum2D:
@@ -149,9 +157,8 @@ def gft_2d(f: Signal2D, b1: EigenBasis, b2: EigenBasis) -> Spectrum2D:
 
 def inverse_gft_2d(s: Spectrum2D, b1: EigenBasis, b2: EigenBasis) -> Signal2D:
     """Inverse 2-D transform: F = U1 Fhat U2^T."""
-    if s.values.shape != (b1.n, b2.n):
-        raise DimensionError(f"spectrum shape {s.values.shape} does not match bases ({b1.n}, {b2.n})")
-    return _synthesize(_synthesize(s.values, b1, 0), b2, 1)
+    values = _check_shape(s.values, (b1.n, b2.n), "spectrum")
+    return _synthesize(_synthesize(values, b1, 0), b2, 1)
 
 
 def gft_nd(f: np.ndarray, bases: list[EigenBasis]) -> np.ndarray:
@@ -172,10 +179,7 @@ def gft_nd(f: np.ndarray, bases: list[EigenBasis]) -> np.ndarray:
 def inverse_gft_nd(fhat: np.ndarray, bases: list[EigenBasis]) -> np.ndarray:
     if len(bases) < 1:
         raise DimensionError("need at least one basis")
-    expected = tuple(b.n for b in bases)
-    out = np.asarray(fhat)
-    if out.shape != expected:
-        raise DimensionError(f"spectrum shape {out.shape}, expected {expected}")
+    out = _check_shape(fhat, tuple(b.n for b in bases), "spectrum")
     for axis, b in enumerate(bases):
         out = _synthesize(out, b, axis)
     return out
@@ -266,19 +270,11 @@ def multivariate_gft(f: np.ndarray, basis: EigenBasis) -> np.ndarray:
     transform on the product with a p-vertex edgeless graph, whose zero
     Laplacian has the standard basis as eigenvectors.
     """
-    f = np.asarray(f)
-    if f.ndim != 2 or f.shape[0] != basis.n:
-        raise DimensionError(f"signal shape {f.shape} does not match basis size {basis.n}")
-    if not np.all(np.isfinite(f)):
-        raise DimensionError("signal has non-finite entries")
-    return _analyze(f, basis, 0)
+    return _analyze(_check_signal(f, (basis.n, None)), basis, 0)
 
 
 def inverse_multivariate_gft(fhat: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    fhat = np.asarray(fhat)
-    if fhat.ndim != 2 or fhat.shape[0] != basis.n:
-        raise DimensionError(f"spectrum shape {fhat.shape} does not match basis size {basis.n}")
-    return _synthesize(fhat, basis, 0)
+    return _synthesize(_check_shape(fhat, (basis.n, None), "spectrum"), basis, 0)
 
 
 def _signal_blocks(f: Signal2D) -> Iterator[str]:
@@ -391,16 +387,14 @@ def _spectrum_blocks(s: Spectrum2D) -> Iterator[str]:
 
     lam1 = np.asarray(s.lambdas1, dtype=np.float64).ravel()
     lam2 = np.asarray(s.lambdas2, dtype=np.float64).ravel()
-    if np.ndim(s.values) != 2 or np.shape(s.values) != (len(lam1), len(lam2)):
-        raise DimensionError(f"spectrum values of shape {np.shape(s.values)} do not match "
-                             f"{len(lam1)} x {len(lam2)} eigenvalues")
     n1, n2 = len(lam1), len(lam2)
+    values = _check_shape(s.values, (n1, n2), "spectrum")
     k1, k2, l1, l2 = (ft.rendered(col) for col in (ft.Ints(np.arange(n1)), ft.Ints(np.arange(n2)),
                                                    ft.Floats(lam1), ft.Floats(lam2)))
     seps = [ord(",")] * 6 + [ord("\n")]
 
     def lines(a: slice, c: slice) -> str:
-        z = np.asarray(s.values[a, c]).astype(np.complex128)
+        z = values[a, c].astype(np.complex128)
         re, im = z.real.ravel(), z.imag.ravel()
         with np.errstate(over="ignore"):
             # Python's abs(complex) ** 2: libm hypot, then libm pow (not x * x);

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, MdgspError
 from .graphs import Graph, matrices
 from .spectral import EigenBasis, eigenbasis
-from .transforms import Spectrum2D, gft_2d
+from .transforms import Spectrum2D, _check_shape, gft_2d
 
 AGREE_RTOL = 1e-8
 
@@ -32,9 +32,7 @@ class DirectionalVariationReport:
 
 def graph_gradient(f: np.ndarray, g: Graph, i: int) -> np.ndarray:
     """Gradient of f at vertex i: component j is sqrt(w(i,j)) * (f(j) - f(i))."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g.n,):
-        raise DimensionError(f"signal shape {f.shape}, expected ({g.n},)")
+    f = _check_shape(f, (g.n,), "signal", np.float64)
     if not (0 <= i < g.n):
         raise DimensionError(f"vertex {i} out of range for n={g.n}")
     return np.sqrt(g.w[i]) * (f - f[i])
@@ -57,9 +55,7 @@ def local_variation_matrix(f: np.ndarray, g1: Graph, g2: Graph, direction: int) 
     which is |D1|^T (w1 (D1 f)^2): each edge's weighted squared difference
     lands on both of its endpoints.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (g1.n, g2.n):
-        raise DimensionError(f"signal shape {f.shape}, expected ({g1.n}, {g2.n})")
+    f = _check_shape(f, (g1.n, g2.n), "signal", np.float64)
     if direction not in (1, 2):
         raise DimensionError(f"direction must be 1 or 2, got {direction}")
     d = (g1 if direction == 1 else g2).incidence

@@ -1013,3 +1013,60 @@ def test_gft_rejects_a_signal_that_overflows(workdir, capsys, token):
                "--signal", workdir / "big.csv", "--out", out) == 3
     assert capsys.readouterr().err == "mdgsp: error[format]: signal CSV has non-finite entries\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["g1.json", "f.csv", "k.json", "s.csv"])
+def test_input_file_that_is_not_utf8_exits_3(workdir, capsys, name):
+    (workdir / "k.json").write_text(json.dumps({"kind": "heat",
+                                                "params": {"tau1": 0.5, "tau2": 0.5}}))
+    factors = ("--g1", workdir / "g1.json", "--g2", workdir / "g2.json")
+    assert run("gft", *factors, "--signal", workdir / "f.csv", "--out", workdir / "s.csv") == 0
+    capsys.readouterr()
+    path = workdir / name
+    raw = path.read_bytes()
+    path.write_bytes(raw[:5] + b"\xff" + raw[5:])
+    argv = {
+        "g1.json": ("eig", "--g1", workdir / "g1.json", "--out", workdir / "o.csv"),
+        "f.csv": ("gft", *factors, "--signal", path, "--out", workdir / "o.csv"),
+        "k.json": ("filter", *factors, "--signal", workdir / "f.csv", "--kernel", path,
+                   "--out", workdir / "o.csv"),
+        "s.csv": ("render", "--spectrum", path, "--svg", workdir / "o.svg"),
+    }[name]
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[format]: ") and err.count("\n") == 1
+    assert not (workdir / "o.csv").exists() and not (workdir / "o.svg").exists()
+
+
+@pytest.mark.parametrize("kind", ["fgw", "dir1", "dir2"])
+def test_product_stationarity_without_g2_is_a_usage_error(workdir, capsys, kind):
+    # refused before any file is read: the missing --g1 would be an io error
+    (workdir / "c.json").write_text(json.dumps(STREAM_COEFFS[kind]))
+    assert run("stationarity", "--mode", "synthesize", "--kind", kind,
+               "--g1", workdir / "missing.json", "--coeffs", workdir / "c.json",
+               "--samples", 10, "--report", workdir / "r.json") == 2
+    assert capsys.readouterr().err == f"mdgsp: error[usage]: --kind {kind} needs --g2\n"
+    assert not (workdir / "r.json").exists()
+
+
+def test_manifest_goes_beside_the_sample_dump_as_written(workdir):
+    argv = stationarity_argv(workdir, "fgw", 20, "--mode", "synthesize",
+                             "--out", workdir / "foo")
+    assert run(*argv) == 0
+    written = str(workdir / "foo.npy")
+    assert np.load(written).shape == (20, 3, 4)
+    assert not (workdir / "foo").exists()
+    manifest = json.loads((workdir / "foo.npy.manifest.json").read_text())
+    assert manifest["parameters"]["out"] == written
+    assert not (workdir / "foo.manifest.json").exists()
+
+
+def test_invalid_coefficients_json_exits_3(workdir, capsys):
+    (workdir / "c.json").write_text('{"h": [[1.0, 0.5]')
+    assert run("stationarity", "--mode", "synthesize", "--kind", "fgw",
+               "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
+               "--coeffs", workdir / "c.json", "--samples", 10,
+               "--report", workdir / "r.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[format]: invalid fgw coefficients JSON: ")
+    assert not (workdir / "r.json").exists()

@@ -302,3 +302,15 @@ def test_energy_memory_stays_edge_sized():
     x, y = rng.standard_normal((2, 400, 50))
     params = EbemParams(p=2, gamma1=0.5, gamma2=0.5, q1=1.5, q2=1.5)
     assert traced_peak_mb(lambda: ebem_energy(x, y, g1, g2, params)) < 10
+
+
+def test_constant_observation_stops_at_a_zero_gradient():
+    # y is its own minimizer: the gradient of every term vanishes at x = y,
+    # so the first iteration stops with residual 0 and reports converged
+    g1, g2 = grids()
+    y = np.full((4, 5), 2.5)
+    rep = ebem_minimize(y, g1, g2, EbemParams(q1=1.0, q2=1.5, gamma1=0.4, gamma2=0.7))
+    assert not np.any(_ebem_gradient(y, y, g1, g2, EbemParams(q1=1.0, gamma1=0.4)))
+    assert rep.method == "gradient" and rep.iterations == 1
+    assert rep.converged and rep.residual == 0.0
+    assert np.array_equal(rep.minimizer, y) and rep.energy == 0.0

@@ -271,3 +271,33 @@ def test_kernel_json_formats(tmp_path):
         kernel_from_json(json.dumps({"kind": "mystery"}))
     with pytest.raises(FormatError):
         kernel_from_json("nope")
+
+
+def test_complex_kernel_with_tiny_imaginary_residue_gives_a_real_output():
+    g1, g2 = standard_graph("path", 3), standard_graph("cycle", 4)
+    b1, b2 = bases_for(g1, g2)
+    f = np.random.default_rng(5).standard_normal((3, 4))
+    near_real = SpectralKernel2D("heat", lambda l1, l2: np.exp(-l1 - l2) + 1e-13j)
+    out = spectral_filter_2d(f, near_real, b1, b2)
+    assert not np.iscomplexobj(out)
+    assert np.allclose(out, spectral_filter_2d(f, heat_kernel(1.0, 1.0), b1, b2), atol=1e-12)
+    complex_kernel = SpectralKernel2D("heat", lambda l1, l2: np.exp(-l1 - l2) + 1e-3j)
+    assert np.iscomplexobj(spectral_filter_2d(f, complex_kernel, b1, b2))
+
+
+def test_locality_of_an_all_zero_kernel_is_empty():
+    pg = cartesian_product(standard_graph("path", 3), standard_graph("path", 4))
+    assert locality_neighborhood(pg, PolyKernel2D(H=np.zeros((2, 3))), (1, 1)) == set()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "polynomial"}, "polynomial kernel needs coeffs"),
+    ({"kind": "sum-1d"}, "sum-1d kernel needs coeffs"),
+    ({"kind": "separable", "coeffs": [[1.0, 0.5]]}, r"separable kernel needs coeffs = \[c1, c2\]"),
+    ({"coeffs": [1.0]}, 'kernel JSON must be an object with "kind"'),
+])
+def test_kernel_json_without_its_coefficients_is_a_format_error(payload, message):
+    from mdgsp import FormatError
+
+    with pytest.raises(FormatError, match=message):
+        kernel_from_json(json.dumps(payload))

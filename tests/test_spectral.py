@@ -133,3 +133,39 @@ def test_matrix_file_round_trip(tmp_path):
     assert raw[:8] == b"MDGSPMAT"
     assert len(raw) == 16 + 8 * 15
     assert np.array_equal(load_matrix(path), m)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda raw: b"NOTAMATX" + raw[8:], "not a MDGSPMAT matrix file"),
+    (lambda raw: raw[:-8], "expected 112 bytes, found 104"),
+    (lambda raw: raw[:10], "not a MDGSPMAT matrix file"),
+])
+def test_load_matrix_rejects_a_bad_magic_and_a_truncated_file(tmp_path, damage, message):
+    from mdgsp import FormatError
+
+    path = tmp_path / "m.mat"
+    save_matrix(np.arange(12.0).reshape(3, 4), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(FormatError, match=message):
+        load_matrix(path)
+
+
+def test_save_matrix_refuses_a_3d_array(tmp_path):
+    from mdgsp import FormatError
+
+    with pytest.raises(FormatError, match="only 2-D matrices can be saved, got ndim=3"):
+        save_matrix(np.zeros((2, 2, 2)), tmp_path / "m.mat")
+    assert not (tmp_path / "m.mat").exists()
+
+
+def test_eigenbasis_rejects_a_non_orthonormal_basis(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def skewed(m):
+        values, vectors = eigh(m)
+        vectors[:, 1] += 1e-3 * vectors[:, 0]
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(SpectrumError, match="eigenvectors not orthonormal"):
+        eigenbasis(matrices(standard_graph("path", 4)).L, "laplacian")

@@ -714,3 +714,24 @@ def test_degree_one_directional_process_on_a_long_path():
     X = sample_directional(DirectionalProcess(1, Hs), L, 5, 40)
     Z = WhiteNoise2D(600, 2, 5).batch(40)
     assert np.array_equal(X, Z @ Hs[0] + (L @ Z) @ Hs[1])
+
+
+def test_directional_construct_takes_a_square_root_of_a_singular_target(p3p4):
+    # a rank-1 target has no Cholesky factor: the eigenvalue square root
+    # must still give Htilde_k^T Htilde_k = Gamma_k^T
+    _, _, b1, _ = p3p4
+    v = np.array([1.0, -2.0, 0.5, 1.5])
+    targets = np.stack([np.eye(4), np.outer(v, v), 2.0 * np.eye(4)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(targets[1])
+    halves = construct_directional_from_gamma(targets, b1).half_gains(b1)
+    for half, target in zip(halves, targets):
+        assert np.allclose(half.T @ half, target.T, atol=1e-10)
+
+
+def test_directional_construct_rejects_an_asymmetric_target(p3p4):
+    _, _, b1, _ = p3p4
+    bad = np.stack([np.eye(4)] * 3)
+    bad[2, 0, 1] = 0.5
+    with pytest.raises(SamplingError, match="covariance target 2 is not symmetric"):
+        construct_directional_from_gamma(bad, b1)

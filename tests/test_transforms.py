@@ -614,3 +614,13 @@ def assert_spectrum_readers_agree(tmp_path, text):
         except FormatError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gft_2d_rejects_a_non_finite_signal(bad):
+    b1 = laplacian_basis(standard_graph("path", 3))
+    b2 = laplacian_basis(standard_graph("path", 4))
+    f = np.zeros((3, 4))
+    f[1, 2] = bad
+    with pytest.raises(DimensionError, match="^signal has non-finite entries$"):
+        gft_2d(f, b1, b2)
