@@ -130,5 +130,4 @@ from .stationarity import (
     spectra_of,
     test_directional_stationarity,
     test_fgw_stationarity,
-    test_simdiag,
 )

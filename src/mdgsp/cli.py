@@ -39,12 +39,11 @@ from .errors import (
 )
 from .filtering import PolyKernel2D, float_array, load_kernel
 from .filtering import polynomial_filter_vertex, spectral_filter_2d
-from .graphs import _json_object, cartesian_product, load_graph, matrices, save_graph
+from .graphs import _json_object, _read_text, cartesian_product, load_graph, matrices, save_graph
 from .render import save_spectrum_heatmap_svg
 from .spectral import EigenBasis, default_tol_mult, eigenbasis, save_matrix, spectrum_to_csv
 from .stationarity import DirectionalProcess, FgwProcess, _directional_chunks, _fgw_chunks
 from .transforms import (
-    adjacency_gft_2d,
     aggregate_to_1d,
     aggregate_to_csv,
     gft_2d,
@@ -59,7 +58,6 @@ from .variation import total_directional_variation
 _ERRORS = [
     (UsageError, 2, "usage"),
     (FormatError, 3, "format"),
-    (UnicodeDecodeError, 3, "format"),  # an input file that is not UTF-8 text
     (GraphError, 3, "graph"),
     (DimensionError, 4, "dimension-mismatch"),
     (MemoryError, 6, "allocation"),
@@ -152,11 +150,8 @@ def cmd_eig(args) -> int:
 
 def cmd_gft(args) -> int:
     b1, b2 = _factor_bases(args, args.source)
-    f = load_signal(args.signal)
-    if args.source == "laplacian":
-        s = gft_2d(f, b1, b2)
-    else:
-        s = adjacency_gft_2d(f, b1, b2)
+    # both bases carry the `--source` tag, so the adjacency transform is `gft_2d` too
+    s = gft_2d(load_signal(args.signal), b1, b2)
     save_spectrum(s, args.out)
     if args.svg:
         save_spectrum_heatmap_svg(s, args.svg, title=Path(args.signal).name)
@@ -287,7 +282,7 @@ def cmd_variation(args) -> int:
 
 def _load_coeffs(path: str, kind: str):
     key, what = ("h", "2-D array") if kind == "fgw" else ("hs", "list of square matrices")
-    payload = _json_object(Path(path).read_text(), f"{kind} coefficients", key)
+    payload = _json_object(_read_text(path), f"{kind} coefficients", key)
     coeffs = float_array(payload[key], f'coefficients "{key}"')
     square = coeffs.ndim == 3 and coeffs.shape[1] == coeffs.shape[2]
     if not (coeffs.ndim <= 2 if kind == "fgw" else square) or not np.isfinite(coeffs).all():
@@ -348,9 +343,9 @@ def cmd_stationarity(args) -> int:
         "shape": list(chunks.shape[1:]),
     }
     if args.out:
-        payload["out"] = args.out
         if not args.out.endswith(".npy"):
             args.out += ".npy"  # the name `np.save` gives the file, which the manifest goes beside
+        payload["out"] = args.out
     with _npy_rows(args.out, chunks.shape) as write:
         if args.mode == "test":
             reps = chunks.test(args.tol, write)
@@ -510,15 +505,15 @@ def main(argv: list[str] | None = None) -> int:
         _env_threads()  # a bad MDGSP_THREADS is a usage error for every command
         _check_options(args)
         rc = args.func(args)
-    except (MdgspError, MemoryError, UnicodeDecodeError) as exc:
+        _write_manifest(_primary_output(args), args.command, args, _inputs(args),
+                        time.perf_counter() - t0)
+    except (MdgspError, MemoryError) as exc:
         code, slug = next((code, slug) for cls, code, slug in _ERRORS if isinstance(exc, cls))
         print(f"mdgsp: error[{slug}]: {exc}", file=sys.stderr)
         return code
     except OSError as exc:
         print(f"mdgsp: error[io]: {exc}", file=sys.stderr)
         return 3
-    elapsed = time.perf_counter() - t0
-    _write_manifest(_primary_output(args), args.command, args, _inputs(args), elapsed)
     return rc
 
 

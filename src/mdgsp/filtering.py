@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, FormatError, KernelError
-from .graphs import ProductGraph, _json_object, hop_distances
+from .graphs import ProductGraph, _json_object, _read_text, hop_distances
 from .spectral import EigenBasis
 from .transforms import Signal2D, Spectrum2D, _check_shape, gft_2d, inverse_gft_2d
 
@@ -286,4 +286,4 @@ def kernel_from_json(text: str) -> SpectralKernel2D | PolyKernel2D:
 
 
 def load_kernel(path: str | Path) -> SpectralKernel2D | PolyKernel2D:
-    return kernel_from_json(Path(path).read_text())
+    return kernel_from_json(_read_text(path))

@@ -323,6 +323,15 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; FormatError naming the file if it is not UTF-8.
+    Every input file that is read as text is read through this."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _json_object(text: str, what: str, *keys: str) -> dict:
     """The JSON object that `text` holds, with every one of `keys`; else FormatError
     naming the `what` JSON. Every JSON input file is read through this."""
@@ -366,4 +375,4 @@ def save_graph(g: Graph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> Graph:
-    return graph_from_json(Path(path).read_text())
+    return graph_from_json(_read_text(path))

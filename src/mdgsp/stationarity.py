@@ -341,8 +341,7 @@ def sample_fgw(proc: FgwProcess, L1: np.ndarray, L2: np.ndarray, seed: int, coun
     return _fgw_chunks(proc, L1, L2, seed, count, distribution, b1, b2).array()
 
 
-def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis,
-                           tol_distinct: float | None = None) -> FgwProcess:
+def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis) -> FgwProcess:
     """Kernel whose process has the prescribed spectral variances Gamma.
 
     Solves Psi1 H Psi2^T = sqrt(Gamma), which requires both factor spectra
@@ -352,8 +351,8 @@ def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis,
     Gamma = _check_shape(Gamma, (b1.n, b2.n), "Gamma", np.float64)
     if np.any(Gamma < 0):
         raise SamplingError("Gamma must be entrywise nonnegative")
-    _require_distinct(b1.values, tol_distinct, "first factor")
-    _require_distinct(b2.values, tol_distinct, "second factor")
+    _require_distinct(b1.values, "first factor")
+    _require_distinct(b2.values, "second factor")
     psi1 = vandermonde(b1.values)
     psi2 = vandermonde(b2.values)
     A = np.linalg.solve(psi1, np.sqrt(Gamma))
@@ -361,11 +360,9 @@ def construct_H_from_gamma(Gamma: np.ndarray, b1: EigenBasis, b2: EigenBasis,
     return FgwProcess(kernel=PolyKernel2D(H=H))
 
 
-def _require_distinct(values: np.ndarray, tol: float | None, what: str) -> None:
-    if tol is None:
-        tol = default_tol_mult(values)
+def _require_distinct(values: np.ndarray, what: str) -> None:
     gaps = np.diff(values)
-    if len(values) > 1 and gaps.min() <= tol:
+    if len(values) > 1 and gaps.min() <= default_tol_mult(values):
         raise SamplingError(f"{what} spectrum has repeated eigenvalues (min gap {gaps.min():g})")
 
 
@@ -412,8 +409,8 @@ def sample_directional(proc: DirectionalProcess, L: np.ndarray, seed: int, count
     return _directional_chunks(proc, L, seed, count, n_other, distribution, basis).array()
 
 
-def construct_directional_from_gamma(Gammas, basis: EigenBasis, direction: int = 1,
-                                     tol_distinct: float | None = None) -> DirectionalProcess:
+def construct_directional_from_gamma(Gammas, basis: EigenBasis,
+                                     direction: int = 1) -> DirectionalProcess:
     """Directional process realizing per-frequency covariances Gamma_k.
 
     Each Gamma_k must be symmetric positive-semidefinite; a square-root
@@ -427,7 +424,7 @@ def construct_directional_from_gamma(Gammas, basis: EigenBasis, direction: int =
         raise DimensionError(
             f"expected {basis.n} square covariance targets, got shape {Gammas.shape}"
         )
-    _require_distinct(basis.values, tol_distinct, "factor")
+    _require_distinct(basis.values, "factor")
     halves = np.empty_like(Gammas)
     for idx, G in enumerate(Gammas):
         scale = max(1.0, float(np.abs(G).max()))
@@ -529,28 +526,6 @@ def max_offdiag_correlation(cov: CovTensor) -> float:
     ratio = np.abs(c) / denom
     np.fill_diagonal(ratio, 0.0)
     return float(ratio.max())
-
-
-def test_simdiag(C: np.ndarray, U: np.ndarray, tol: float, name: str = "simdiag",
-                 m: int | None = None) -> DiagnosticReport:
-    """Does the basis U diagonalize C? Statistic: off-diagonal energy ratio.
-
-    The statistic is ||offdiag(U^H C U)||_F / ||C||_F, which lies in [0, 1]
-    because the rotation preserves the Frobenius norm. A zero C makes the
-    ratio undefined and is reported as a vacuous pass.
-    """
-    C = np.asarray(C)
-    U = np.asarray(U)
-    if C.shape != U.shape or C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise DimensionError(f"C {C.shape} and U {U.shape} must be equal square shapes")
-    total = float(np.linalg.norm(C))
-    if total == 0.0:
-        return DiagnosticReport(name=name, statistic=0.0, threshold=tol, verdict=True,
-                                m=m, vacuous=True)
-    rotated = U.conj().T @ C @ U
-    off = rotated - np.diag(np.diag(rotated))
-    stat = float(np.linalg.norm(off) / total)
-    return DiagnosticReport(name=name, statistic=stat, threshold=tol, verdict=stat <= tol, m=m)
 
 
 def _mc_tol(m: int, tol: float | None) -> float:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, SpectrumError
+from .graphs import _read_text
 from .spectral import EigenBasis, check_tol_mult, group_bounds
 
 Signal2D = np.ndarray  # real (n1, n2) matrix; validated at function entry
@@ -371,7 +372,7 @@ def load_signal(path: str | Path) -> Signal2D:
         with open(path, "rb") as raw:
             return bulk.signal(bulk.file_chunks(raw))
     except bulk.NotPlain:
-        return _signal_from_lines(Path(path).read_text().strip().splitlines())
+        return _signal_from_lines(_read_text(path).strip().splitlines())
 
 
 _SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power"
@@ -483,4 +484,4 @@ def load_spectrum(path: str | Path) -> Spectrum2D:
         with open(path, "rb") as raw:
             return Spectrum2D(*bulk.spectrum(bulk.file_chunks(raw), _SPECTRUM_HEADER))
     except bulk.NotPlain:
-        return _spectrum_by_token(Path(path).read_text())
+        return _spectrum_by_token(_read_text(path))

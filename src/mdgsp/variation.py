@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, MdgspError
 from .graphs import Graph, matrices
 from .spectral import EigenBasis, eigenbasis
-from .transforms import Spectrum2D, _check_shape, gft_2d
+from .transforms import Spectrum2D, _along, _check_shape, gft_2d
 
 AGREE_RTOL = 1e-8
 
@@ -25,7 +25,7 @@ class DirectionalVariationReport:
     direction: int
     local: np.ndarray  # (n1, n2) local variation at each vertex
     total: float  # edge-sum definition
-    trace_total: float  # tr(F^T L1 F) or tr(F L2 F^T)
+    trace_total: float  # <F, L1 F> or <F, F L2>
     spectral_total: float  # sum_k lambda_k * slice power
     residual: float  # |total - spectral_total| / max(1, total)
 
@@ -76,26 +76,22 @@ def total_directional_variation(f: np.ndarray, g1: Graph, g2: Graph, direction: 
     so a caller testing both directions transforms f once; without it the
     bases that are not given are computed.
     """
+    f = _check_shape(f, (g1.n, g2.n), "signal", np.float64)
     local = local_variation_matrix(f, g1, g2, direction)
     total = 0.5 * float(np.sum(local**2))
 
-    L = matrices(g1 if direction == 1 else g2).L
-    if direction == 1:
-        trace_total = float(np.trace(f.T @ L @ f))
-    else:
-        trace_total = float(np.trace(f @ L @ f.T))
+    axis = direction - 1
+    L = matrices((g1, g2)[axis]).L
+    trace_total = float(np.vdot(f, _along(L, f, axis)))
 
     if spectrum is None:
-        if b1 is None:
-            b1 = eigenbasis(L if direction == 1 else matrices(g1).L, "laplacian")
-        if b2 is None:
-            b2 = eigenbasis(L if direction == 2 else matrices(g2).L, "laplacian")
-        spectrum = gft_2d(f, b1, b2)
-    p = spectrum.power()
-    if direction == 1:
-        spectral_total = float(np.sum(spectrum.lambdas1 * p.sum(axis=1)))
-    else:
-        spectral_total = float(np.sum(spectrum.lambdas2 * p.sum(axis=0)))
+        bases = [b1, b2]
+        for i, b in enumerate(bases):
+            if b is None:
+                bases[i] = eigenbasis(L if i == axis else matrices((g1, g2)[i]).L, "laplacian")
+        spectrum = gft_2d(f, *bases)
+    lambdas = (spectrum.lambdas1, spectrum.lambdas2)[axis]
+    spectral_total = float(np.sum(lambdas * spectrum.power().sum(axis=1 - axis)))
 
     scale = max(1.0, abs(total))
     if abs(total - trace_total) > AGREE_RTOL * scale:

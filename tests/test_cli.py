@@ -558,7 +558,7 @@ def test_streamed_sample_dump_equals_np_save(workdir, monkeypatch, kind, suffix)
     np.save(workdir / "ref.npy", batch)
     assert (workdir / "x.npy").read_bytes() == (workdir / "ref.npy").read_bytes()
     report = json.loads((workdir / "r.json").read_text())
-    assert report["out"] == str(out)
+    assert report["out"] == str(workdir / "x.npy")
     # the CLI test and the library test run one streaming loop: equal to the last bit
     b1, b2 = (laplacian_basis(load_graph(workdir / g)) for g in ("g1.json", "g2.json"))
     if kind == "fgw":
@@ -1015,10 +1015,11 @@ def test_gft_rejects_a_signal_that_overflows(workdir, capsys, token):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["g1.json", "f.csv", "k.json", "s.csv"])
+@pytest.mark.parametrize("name", ["g1.json", "f.csv", "k.json", "s.csv", "c.json"])
 def test_input_file_that_is_not_utf8_exits_3(workdir, capsys, name):
     (workdir / "k.json").write_text(json.dumps({"kind": "heat",
                                                 "params": {"tau1": 0.5, "tau2": 0.5}}))
+    (workdir / "c.json").write_text(json.dumps(STREAM_COEFFS["fgw"]))
     factors = ("--g1", workdir / "g1.json", "--g2", workdir / "g2.json")
     assert run("gft", *factors, "--signal", workdir / "f.csv", "--out", workdir / "s.csv") == 0
     capsys.readouterr()
@@ -1031,11 +1032,22 @@ def test_input_file_that_is_not_utf8_exits_3(workdir, capsys, name):
         "k.json": ("filter", *factors, "--signal", workdir / "f.csv", "--kernel", path,
                    "--out", workdir / "o.csv"),
         "s.csv": ("render", "--spectrum", path, "--svg", workdir / "o.svg"),
+        "c.json": ("stationarity", "--mode", "synthesize", "--kind", "fgw", *factors,
+                   "--coeffs", path, "--samples", 10, "--report", workdir / "o.json"),
     }[name]
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("mdgsp: error[format]: ") and err.count("\n") == 1
-    assert not (workdir / "o.csv").exists() and not (workdir / "o.svg").exists()
+    assert str(path) in err
+    assert not list(workdir.glob("o.*"))
+
+
+def test_manifest_that_cannot_be_written_exits_3(workdir, capsys):
+    (workdir / "o.csv.manifest.json").mkdir()
+    assert run("eig", "--g1", workdir / "g1.json", "--out", workdir / "o.csv") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mdgsp: error[io]: ") and err.count("\n") == 1
+    assert "o.csv.manifest.json" in err
 
 
 @pytest.mark.parametrize("kind", ["fgw", "dir1", "dir2"])

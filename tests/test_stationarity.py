@@ -32,7 +32,6 @@ from mdgsp import (
 )
 from mdgsp import test_directional_stationarity as directional_report
 from mdgsp import test_fgw_stationarity as fgw_report
-from mdgsp import test_simdiag as simdiag_report
 
 M = 6000
 
@@ -375,24 +374,6 @@ def test_estimate_cov_error_scales_inverse_sqrt_m():
     assert errs[2] * np.sqrt(8000 / 500) < 10 * errs[0]
 
 
-def test_simdiag_statistic_cases():
-    g = standard_graph("path", 4)
-    L = matrices(g).L
-    b = laplacian_basis(g)
-    rep = simdiag_report(L, b.vectors, tol=1e-10)
-    assert rep.verdict and rep.statistic <= 1e-12
-    rng = np.random.default_rng(101)
-    A = rng.standard_normal((4, 4))
-    C = A + A.T
-    other = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    rep2 = simdiag_report(C, other, tol=0.05)
-    assert not rep2.verdict and rep2.statistic > 0.1
-    rep3 = simdiag_report(2.5 * np.eye(4), other, tol=1e-10)
-    assert rep3.verdict
-    rep4 = simdiag_report(np.zeros((4, 4)), other, tol=0.05)
-    assert rep4.verdict and rep4.vacuous
-
-
 def test_fgw_test_passes_on_white_noise(p3p4):
     _, _, b1, b2 = p3p4
     batch = WhiteNoise2D(3, 4, seed=111).batch(M)
@@ -537,6 +518,11 @@ def ref_pooled_slice_simdiag(T, U, direction):
     return float(np.sqrt(off_energy / total_energy))
 
 
+def ref_product_simdiag(C, U):
+    rotated = U.conj().T @ C @ U
+    return float(np.linalg.norm(rotated - np.diag(np.diag(rotated))) / np.linalg.norm(C))
+
+
 # ---------------------------------------------------------------- one energy split
 
 
@@ -583,7 +569,7 @@ def test_split_statistics_equal_reference_routes(n1, n2, m, bases, batch_kind):
     want = [
         max(ref_pooled_slice_simdiag(T, U1, 1), ref_pooled_slice_simdiag(T, U2, 2)),
         masked_ratio(C, ~np.eye(n, dtype=bool)),
-        simdiag_report(T.reshape(n, n), np.kron(U1, U2), tol=1.0).statistic,
+        ref_product_simdiag(T.reshape(n, n), np.kron(U1, U2)),
         masked_ratio(C, (k1[:, None] != k1[None, :]) & (k2[:, None] != k2[None, :])),
     ]
     for got, ref in zip(fgw.sub, want):
