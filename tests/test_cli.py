@@ -1,5 +1,6 @@
 """Command-line pipelines: outputs, manifests, determinism, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -280,31 +281,62 @@ def test_closed_form_sweep_transforms_the_observation_once(tmp_path, monkeypatch
     assert sorted(calls) == ["eigenbasis", "eigenbasis", "gft_2d"]
 
 
-def _assert_sweep_memory_flat(tmp_path, *options):
+def _sweep_peak_growth_mb(tmp_path, *options):
+    """Growth of the traced peak of one `denoise` sweep with `options`, in MiB per point:
+    the least-squares slope over sweeps of 2, 6, 12 and 24 points.
+
+    The largest sweep runs once untraced first, so the float encoder's tables and
+    the interpreter's free lists are full. The garbage collector is off while a sweep
+    is traced: a full collection empties the free lists, and their refill during one
+    run added up to 0.1 MiB to its peak, two minimizers' worth.
+    """
     denoise = (*_sweep_workdir(tmp_path, n1=120, n2=50), *options)
 
-    def sweep(gammas1):
+    def sweep(points):
+        gammas1 = ",".join(f"{0.5 * (k + 1):g}" for k in range(points // 2))
         # a gradient sweep cut short by --max-iter exits 5; its outputs are still written
         return lambda: run(*denoise, "--gamma1", gammas1, "--gamma2", "0.1,0.7",
                            "--out", tmp_path / "x.csv")
 
-    sweep("1")()  # first use: the float encoder and its tables
-    two = traced_peak_mb(sweep("1"))
-    twelve = traced_peak_mb(sweep("0.5,1,1.5,2,2.5,3"))
-    # ten more points may not keep even one more 120 x 50 minimizer alive
-    minimizer_mb = 120 * 50 * 8 / 2**20
-    assert twelve < two + minimizer_mb
+    points = [2, 6, 12, 24]
+    sweep(points[-1])()
+    gc.disable()
+    try:
+        peaks = [traced_peak_mb(sweep(p)) for p in points]
+    finally:
+        gc.enable()
+    return np.polyfit(points, peaks, 1)[0]
+
+
+# a sweep may not keep even one more 120 x 50 minimizer alive per ten points
+MINIMIZER_PER_TEN_POINTS_MB = 120 * 50 * 8 / 2**20 / 10
 
 
 def test_closed_form_sweep_memory_does_not_grow_with_points(tmp_path):
-    _assert_sweep_memory_flat(tmp_path)
+    assert _sweep_peak_growth_mb(tmp_path) < MINIMIZER_PER_TEN_POINTS_MB
 
 
 def test_gradient_sweep_memory_does_not_grow_with_points(tmp_path, monkeypatch):
     # with two threads allowed, a sweep that solved points side by side would hold
-    # more than one minimizer
+    # more than one minimizer; the iteration cap sets how long a point runs, not
+    # what it keeps
     monkeypatch.setenv("MDGSP_THREADS", "2")
-    _assert_sweep_memory_flat(tmp_path, "--q1", "1.5", "--q2", "1.5", "--max-iter", 30)
+    growth = _sweep_peak_growth_mb(tmp_path, "--q1", "1.5", "--q2", "1.5", "--max-iter", 5)
+    assert growth < MINIMIZER_PER_TEN_POINTS_MB
+
+
+def test_sweep_memory_check_rejects_a_sweep_that_keeps_every_minimizer(tmp_path, monkeypatch):
+    # negative control of the two tests above
+    import mdgsp.cli as cli
+
+    kept, save = [], cli.save_signal
+
+    def keeping(f, path):
+        kept.append(f)
+        save(f, path)
+
+    monkeypatch.setattr(cli, "save_signal", keeping)
+    assert _sweep_peak_growth_mb(tmp_path) >= MINIMIZER_PER_TEN_POINTS_MB
 
 
 @pytest.mark.parametrize("gamma1, message", [

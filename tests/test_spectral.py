@@ -1,8 +1,15 @@
 """Eigendecomposition determinism, invariants, multiplicity grouping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mdgsp
+import mdgsp.spectral as spectral
 from mdgsp import (
     SpectrumError,
     cartesian_product,
@@ -169,3 +176,108 @@ def test_eigenbasis_rejects_a_non_orthonormal_basis(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", skewed)
     with pytest.raises(SpectrumError, match="eigenvectors not orthonormal"):
         eigenbasis(matrices(standard_graph("path", 4)).L, "laplacian")
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_probe_bound_covers_the_norm_of_a_diagonal_map(n):
+    # ||diag(e)||_2 = max |e|; the spike sits on one coordinate, which the
+    # probes must still find
+    e = np.full(n, 1e-3)
+    e[n // 2] = -3.0
+    assert spectral._probe_bound(lambda w: w * e, (n,)) >= 3.0
+    spike = np.zeros(n)
+    spike[n // 2] = 10 * spectral.TOL_ORTH
+    two = spectral._probe_bound(lambda w: np.stack([w * e, w * spike]), (n,))
+    assert two.shape == (2,) and two[0] >= 3.0 and two[1] > spectral.TOL_ORTH
+
+
+def test_probe_bound_repeats_and_leaves_the_global_stream_alone():
+    state = np.random.get_state()[1].copy()
+    first = spectral._probe_bound(lambda w: 2.0 * w, (5, 4))
+    assert spectral._probe_bound(lambda w: 2.0 * w, (5, 4)) == first
+    assert np.array_equal(np.random.get_state()[1], state)
+
+
+def test_probes_are_standard_normal():
+    # the bound holds for Gaussian probes: mean, variance and the two-sigma tail
+    # of 2e5 draws, each within 5 standard errors
+    g = spectral._gaussian_probes((10, 20000)).ravel()
+    n, tail = g.size, 0.04550026
+    assert abs(g.mean()) < 5 / np.sqrt(n)
+    assert abs(g.var() - 1.0) < 5 * np.sqrt(2.0 / n)
+    assert abs(np.mean(np.abs(g) > 2.0) - tail) < 5 * np.sqrt(tail * (1 - tail) / n)
+
+
+def test_probes_do_not_load_numpy_random():
+    # a command that draws no noise does not pay for numpy.random (5.6 MB resident)
+    code = ("import sys, mdgsp\n"
+            "g = mdgsp.standard_graph('path', 40)\n"
+            "mdgsp.eigenbasis(mdgsp.matrices(g).L, 'laplacian')\n"
+            "print('numpy.random' in sys.modules)")
+    src = str(Path(mdgsp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.split() == ["False"]
+
+
+def _count_exact_checks(monkeypatch):
+    calls = []
+    exact = spectral._check_eigenpairs
+
+    def counting(m, values, vectors):
+        calls.append(m.shape[0])
+        exact(m, values, vectors)
+
+    monkeypatch.setattr(spectral, "_check_eigenpairs", counting)
+    return calls
+
+
+def test_healthy_bases_run_no_exact_check(monkeypatch):
+    calls = _count_exact_checks(monkeypatch)
+    rng = np.random.default_rng(29)
+    for g in [standard_graph("path", 1), standard_graph("path", 40),
+              standard_graph("cycle", 60), random_graph(rng, 9), random_graph(rng, 150)]:
+        m = matrices(g)
+        eigenbasis(m.L, "laplacian")
+        eigenbasis(m.W, "adjacency")
+    assert calls == []
+
+
+def _values_off_by(monkeypatch, shift):
+    eigh = np.linalg.eigh
+
+    def shifted(m):
+        values, vectors = eigh(m)
+        return values + shift, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+
+
+def test_probe_miss_falls_back_to_the_exact_check_which_passes(monkeypatch):
+    # eigenvalues off by half the tolerance: the scaled residual is 0.5 TOL_EIGPAIR per
+    # column, so the exact check passes, while the probe bound of the whole map
+    # (columns with |lambda| <= 1 add up) does not
+    calls = _count_exact_checks(monkeypatch)
+    bounds = []
+    probe = spectral._probe_bound
+
+    def recording(apply, shape):
+        bounds.append(probe(apply, shape))
+        return bounds[-1]
+
+    monkeypatch.setattr(spectral, "_probe_bound", recording)
+    _values_off_by(monkeypatch, 0.5 * spectral.TOL_EIGPAIR)
+    W = matrices(standard_graph("path", 30)).W
+    b = eigenbasis(W, "adjacency")
+    orth, pair = bounds[0]
+    assert orth <= spectral.TOL_ORTH and pair > spectral.TOL_EIGPAIR and calls == [30]
+    assert np.array_equal(b.values, np.linalg.eigh(W)[0])  # the shifted values
+
+
+def test_error_just_over_the_tolerance_falls_back_and_is_refused(monkeypatch):
+    calls = _count_exact_checks(monkeypatch)
+    _values_off_by(monkeypatch, 1.5 * spectral.TOL_EIGPAIR)
+    with pytest.raises(SpectrumError, match=r"^eigenpair \d+ residual .* exceeds tolerance$"):
+        eigenbasis(matrices(standard_graph("path", 30)).W, "adjacency")
+    assert calls == [30]

@@ -4,12 +4,15 @@ Monte-Carlo tolerances follow the 5/sqrt(M) convention; unit tests run at
 moderate sample counts and fixed seeds so they are deterministic.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import laplacian_basis
 
 import mdgsp.stationarity as stationarity
+from mdgsp.spectral import _PROBES
 from mdgsp import (
     DimensionError,
     DirectionalProcess,
@@ -336,6 +339,49 @@ def test_path_check_raises_after_the_last_chunk(p3p4, monkeypatch):
         for X in chunks:
             seen.append(len(X))
     assert seen == [4, 4, 2]
+
+
+def _spectral_calls(chunks):
+    """The chunks with their spectral route wrapped, and the shapes it is called on."""
+    shapes = []
+
+    def spectral(Z, route=chunks.spectral):
+        shapes.append(Z.shape)
+        return route(Z)
+
+    return dataclasses.replace(chunks, spectral=spectral), shapes
+
+
+@pytest.mark.parametrize("kind", ["fgw", "dir1"])
+def test_healthy_batch_runs_the_spectral_route_on_the_probes_only(p3p4, monkeypatch, kind):
+    # 3 chunks of 4 samples; the probe bound clears every one, so the spectral
+    # route runs once, on the probe batch
+    L1, L2, b1, b2 = p3p4
+    monkeypatch.setattr(stationarity, "_CHUNK_VALUES", 12 * 4)
+    if kind == "fgw":
+        chunks = stationarity._fgw_chunks(
+            FgwProcess(kernel=PolyKernel2D(H=[[1.0, 0.2], [0.3, 0.1]])), L1, L2, 3, 10,
+            b1=b1, b2=b2)
+    else:
+        Hs = 0.4 * np.random.default_rng(8).standard_normal((3, 4, 4))
+        chunks = stationarity._directional_chunks(DirectionalProcess(1, Hs), L1, 3, 10,
+                                                  basis=b1)
+    counted, shapes = _spectral_calls(chunks)
+    assert np.array_equal(counted.array(), chunks.array())
+    assert shapes == [(_PROBES, 3, 4)]
+
+
+def test_nonfinite_spectral_route_fails_at_its_chunk(p3p4, monkeypatch):
+    # a NaN probe bound clears no chunk: the exact gap of the first one is NaN
+    L1, L2, b1, b2 = p3p4
+    monkeypatch.setattr(stationarity, "_CHUNK_VALUES", 12 * 4)
+    chunks = stationarity._fgw_chunks(FgwProcess(kernel=PolyKernel2D(H=[[0.0], [1.0]])),
+                                      L1, L2, 3, 10, b1=b1, b2=b2)
+    counted, shapes = _spectral_calls(
+        dataclasses.replace(chunks, spectral=lambda Z: np.full(Z.shape, np.nan)))
+    with pytest.raises(SamplingError, match="not finite"):
+        next(iter(counted))
+    assert shapes == [(_PROBES, 3, 4), (4, 3, 4)]
 
 
 def test_estimate_cov_over_chunks_keeps_a_large_mean(monkeypatch):
