@@ -3,6 +3,11 @@
 Vertices are contiguous integers 0..n-1. Product-graph vertices (i1, i2)
 are flattened lexicographically to n2*i1 + i2, and that single ordering is
 used everywhere downstream.
+
+Each graph builds its weighted incidence operator (`Incidence`) once. Along
+one axis of a signal, D x, D^T v and |D|^T v then cost O(|E|) per slice of
+the other axes, in a number of numpy calls set by the largest count of
+lower or higher neighbours; no n x n or |E| x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -15,12 +20,61 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, GraphError
+from .errors import DimensionError, FormatError, GraphError
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True)
+class _Side:
+    """Gather table of one side of the edges: the edges that each vertex owns
+    as its lower endpoint (leading to higher neighbours), or as its higher one.
+
+    `vertices` lists every vertex with at least one such edge, those with the
+    most first (ties in ascending order). `edges` holds the ranks one after
+    another, rank k ending at `ends[k]`: rank k lists, for each vertex with
+    more than k such edges, its edge to the k-th lowest such neighbour.
+    Since the vertices run by decreasing count, those vertices are a prefix
+    of `vertices`. One array per side keeps a graph's long-lived allocations
+    few.
+    """
+
+    vertices: np.ndarray
+    edges: np.ndarray
+    ends: tuple[int, ...]
+
+    @classmethod
+    def of(cls, endpoint: np.ndarray, order: np.ndarray) -> "_Side":
+        """The side whose vertex is `endpoint[e]`; `order` lists the edges grouped
+        by that vertex, in ascending order of the other endpoint."""
+        owner = endpoint[order]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        counts = np.diff(starts, append=owner.size)
+        most = np.argsort(-counts, kind="stable")
+        starts, counts = starts[most], counts[most]
+        ranks = [order[starts[counts > k] + k] for k in range(int(counts.max(initial=0)))]
+        edges = np.concatenate(ranks) if ranks else order  # no ranks: order is empty
+        return cls(vertices=_freeze(owner[starts]), edges=_freeze(edges),
+                   ends=tuple(np.cumsum([r.size for r in ranks]).tolist()))
+
+    def sum_into(self, out: np.ndarray, v: np.ndarray, axis: int) -> None:
+        """Set out[u] to the sum of v over u's edges on this side, along `axis`,
+        added one neighbour at a time in ascending order. v must have one entry
+        per edge along `axis`: the later ranks' indices are not bounds-checked."""
+        if self.ends:
+            head = (slice(None),) * (axis % v.ndim)
+            acc = v.take(self.edges[:self.ends[0]], axis)
+            # every later rank is gathered into one buffer: a new array per rank
+            # fragmented the malloc heap, and the `analysis` benchmark's peak RSS
+            # (15 ranks on its 8-NN factor) read 89 MB instead of 85 MB
+            part = np.empty_like(acc) if len(self.ends) > 1 else None
+            for lo, hi in zip(self.ends, self.ends[1:]):
+                rows = head + (slice(hi - lo),)
+                acc[rows] += v.take(self.edges[lo:hi], axis, out=part[rows], mode="clip")
+            out[head + (self.vertices,)] = acc
 
 
 @dataclass(frozen=True)
@@ -31,18 +85,28 @@ class Incidence:
     upper-triangle order. Along one axis of a signal, (D x)[e] is
     x[i[e]] - x[j[e]], so every edge-wise sum costs O(|E|) per slice of the
     other axes instead of O(n^2).
+
+    The adjoints gather. Two tables, built once from the edge order, list
+    each vertex's edges to its lower neighbours (`lower`) and to its higher
+    ones (`higher`), by ascending neighbour (see `_Side`). Along `axis`, each
+    side sums v over a vertex's edges one neighbour at a time in ascending
+    order, giving L and H, and the lower side comes first:
+    (D^T v)[u] = -L + H and (|D|^T v)[u] = L + H (formed as H - L and H + L,
+    the same bits). A side costs one `take` per neighbour rank and one
+    assignment, and no copy of v is made. Where no vertex has more than two
+    lower or two higher neighbours (paths, cycles, grids), each side is at
+    most one rounded addition, so any summation order gives these bits; on
+    graphs with more (the hub of a wheel, k-nearest-neighbour graphs)
+    another order, such as `np.add.reduceat`'s, may differ in the last bits.
     """
 
     n: int
     i: np.ndarray
     j: np.ndarray
     w: np.ndarray
-    # Scatter plan for the adjoints. Edges come grouped by i already; `by_j`
-    # is the stable permutation that groups them by j (i still ascending);
-    # `i_runs`/`j_runs` are where each vertex's group starts in those orders.
-    by_j: np.ndarray = field(repr=False)
-    i_runs: np.ndarray = field(repr=False)
-    j_runs: np.ndarray = field(repr=False)
+    higher: _Side = field(repr=False)
+    lower: _Side = field(repr=False)
+    _shaped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_weights(cls, w: np.ndarray) -> "Incidence":
@@ -50,47 +114,46 @@ class Incidence:
         i, j = np.nonzero(w)
         upper = i < j
         i, j = i[upper], j[upper]
-        by_j = np.argsort(j, kind="stable")
         return cls(n=w.shape[0], i=_freeze(i), j=_freeze(j), w=_freeze(w[i, j]),
-                   by_j=_freeze(by_j), i_runs=_freeze(_run_starts(i)),
-                   j_runs=_freeze(_run_starts(j[by_j])))
+                   higher=_Side.of(i, np.arange(i.size)),
+                   lower=_Side.of(j, np.argsort(j, kind="stable")))
 
     def apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
         """D x along `axis`: that axis goes from length n to length |E|."""
-        d = np.take(x, self.i, axis=axis)
-        d -= np.take(x, self.j, axis=axis)
+        d = x.take(self.i, axis)
+        d -= x.take(self.j, axis)
         return d
 
     def weigh(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Scale each edge slice of v (indexed by edge along `axis`) by its weight."""
-        shape = [1] * v.ndim
-        shape[axis] = -1
-        return v * self.w.reshape(shape)
+        """Scale each edge slice of v (indexed by edge along `axis`) by its weight, in
+        place; returns v."""
+        trailing = v.ndim - 1 - axis % v.ndim
+        w = self._shaped.get(trailing)
+        if w is None:  # shaped once per number of axes after the edge axis
+            w = self._shaped[trailing] = self.w.reshape((-1,) + (1,) * trailing)
+        v *= w
+        return v
 
     def adjoint(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
         """D^T v along `axis`: +v[e] onto vertex i[e] and -v[e] onto j[e]."""
-        return self._scatter(v, axis, signed=True)
+        high, low = self._sides(v, axis)
+        return np.subtract(high, low, out=high)
 
     def abs_adjoint(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
         """|D|^T v along `axis`: v[e] onto both endpoints i[e] and j[e]."""
-        return self._scatter(v, axis, signed=False)
+        high, low = self._sides(v, axis)
+        return np.add(high, low, out=high)
 
-    def _scatter(self, v: np.ndarray, axis: int, signed: bool) -> np.ndarray:
+    def _sides(self, v: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
         shape = list(v.shape)
+        if shape[axis] != self.i.size:
+            raise DimensionError(f"edge signal has {shape[axis]} entries along axis {axis}, "
+                                 f"expected one per edge ({self.i.size})")
         shape[axis] = self.n
-        out = np.zeros(shape)
-        if self.i.size:
-            # each vertex sums its lower neighbours' edges, then its higher ones'
-            at_j = np.add.reduceat(np.take(v, self.by_j, axis=axis), self.j_runs, axis=axis)
-            at_i = np.add.reduceat(v, self.i_runs, axis=axis)
-            rows = np.moveaxis(out, axis, 0)
-            rows[self.j[self.by_j[self.j_runs]]] = np.moveaxis(-at_j if signed else at_j, axis, 0)
-            rows[self.i[self.i_runs]] += np.moveaxis(at_i, axis, 0)
-        return out
-
-
-def _run_starts(sorted_ids: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+        high, low = np.zeros(shape), np.zeros(shape)
+        self.higher.sum_into(high, v, axis)
+        self.lower.sum_into(low, v, axis)
+        return high, low
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from mdgsp import (
     standard_graph,
     total_directional_variation,
 )
+from mdgsp import denoise
 from mdgsp.denoise import _ebem_gradient
 
 
@@ -227,6 +228,20 @@ def test_nonconvergence_is_reported_not_raised():
     rep = ebem_minimize(y, g1, g2, params, max_iter=5, tol=1e-14)
     assert not rep.converged
     assert rep.iterations == 5
+
+
+def test_q1_diminishing_step_fallback_reports_its_own_energy(monkeypatch):
+    # an infinite Armijo constant accepts no line-search step, so every move
+    # away from y is the fallback's diminishing step 1 / (|g| (1 + it))
+    monkeypatch.setattr(denoise, "_ARMIJO_C", np.inf)
+    g1, g2 = standard_graph("path", 4), standard_graph("cycle", 5)
+    y = np.random.default_rng(11).standard_normal((4, 5))
+    params = EbemParams(p=2, gamma1=0.8, gamma2=0.8, q1=1.0, q2=1.0)
+    rep = ebem_minimize(y, g1, g2, params, max_iter=6)
+    assert rep.method == "gradient" and rep.iterations == 6 and not rep.converged
+    assert not np.array_equal(rep.minimizer, y)
+    assert rep.energy < ebem_energy(y, y, g1, g2, params)
+    assert rep.energy.hex() == ebem_energy(rep.minimizer, y, g1, g2, params).hex()
 
 
 @pytest.mark.parametrize("p, nonunique", [(2.0, False), (1.0, True)])

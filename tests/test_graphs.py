@@ -1,13 +1,15 @@
 """Graph construction, standard families, matrices, Cartesian products."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from helpers import random_graph, traced_peak_mb
+from helpers import random_graph, sensor_graph, traced_peak_mb
 
 from mdgsp import (
+    DimensionError,
     FormatError,
     Graph,
     GraphError,
@@ -16,9 +18,11 @@ from mdgsp import (
     graph_from_json,
     graph_to_json,
     kronecker_sum,
+    local_variation_matrix,
     matrices,
     standard_graph,
 )
+from mdgsp.denoise import _edge_gradient
 from mdgsp.graphs import Incidence
 
 
@@ -307,3 +311,95 @@ def test_incidence_edges_are_the_upper_triangle_in_row_major_order(g):
     i, j = np.nonzero(np.triu(g.w, k=1))
     assert d.i.tolist() == i.tolist() and d.j.tolist() == j.tolist()
     assert_bits_equal(d.w, g.w[i, j])
+
+
+def adjoint_cases():
+    # the hub of the wheel has 11 higher neighbours; vertex 3 of the graph with an
+    # isolated vertex has no neighbour, and its vertex 2 has two on each side
+    isolated = build_graph(7, [(0, 1, 0.7), (0, 2, 1.3), (1, 2, 2.1), (2, 4, 0.4),
+                               (2, 5, 1.9), (4, 6, 0.8), (5, 6, 2.6)])
+    return [standard_graph("path", 7), standard_graph("cycle", 6),
+            standard_graph("wheel", 12), isolated, standard_graph("edgeless", 4)]
+
+
+def _dense_sides(d):
+    """The dense incidence matrix split by sign, D = D_plus - D_minus."""
+    plus, minus = np.zeros((d.i.size, d.n)), np.zeros((d.i.size, d.n))
+    plus[np.arange(d.i.size), d.i] = 1.0
+    minus[np.arange(d.i.size), d.j] = 1.0
+    return plus, minus
+
+
+def _along_edges(m, v, axis):
+    """m^T v along `axis` of v, by a dense matrix product."""
+    moved = np.moveaxis(v, axis, 0)
+    flat = moved.reshape(moved.shape[0], math.prod(moved.shape[1:]))
+    out = (m.T @ flat).reshape((m.shape[1],) + moved.shape[1:])
+    return np.moveaxis(out, 0, axis)
+
+
+def _sequential_sides(m, v, axis):
+    """m^T v along `axis`, each vertex's terms added one at a time in ascending
+    edge order (ascending neighbour on either side), by a loop over m's columns."""
+    moved = np.moveaxis(v, axis, 0)
+    out = np.zeros((m.shape[1],) + moved.shape[1:])
+    for u in range(m.shape[1]):
+        rows = np.flatnonzero(m[:, u])
+        if rows.size:
+            out[u] = moved[rows[0]]
+            for r in rows[1:]:
+                out[u] += moved[r]
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("g", adjoint_cases())
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_adjoints_match_the_dense_incidence_matrix(g, axis):
+    d = g.incidence
+    plus, minus = _dense_sides(d)
+    rng = np.random.default_rng(61)
+    shape = [3, 4, 5]
+    shape[axis] = d.i.size
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.2] = 0.0  # exact zeros, to check the sign of a zero result
+    high, low = _along_edges(plus, v, axis), _along_edges(minus, v, axis)
+    scale = _along_edges(plus + minus, np.abs(v), axis)
+    # with at most two edges on each side of every vertex, every summation order of
+    # a side rounds once, so the kernel must give the dense product's bits
+    exact = max(plus.sum(axis=0).max(initial=0), minus.sum(axis=0).max(initial=0)) <= 2
+    assert exact == (g.n != 12)
+    for got, want in ((d.adjoint(v, axis), high - low), (d.abs_adjoint(v, axis), high + low)):
+        if exact:
+            assert_bits_equal(got, want)
+        else:
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+    # the stated order on every graph: each side one neighbour at a time, lower side first
+    high, low = _sequential_sides(plus, v, axis), _sequential_sides(minus, v, axis)
+    assert_bits_equal(d.adjoint(v, axis), -low + high)
+    assert_bits_equal(d.abs_adjoint(v, axis), low + high)
+    x = rng.standard_normal(v.shape[:axis] + (g.n,) + v.shape[axis + 1:])
+    lhs, rhs = np.vdot(d.apply(x, axis), v), np.vdot(x, d.adjoint(v, axis))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.vdot(np.abs(x), scale))
+
+
+@pytest.mark.parametrize("length", [9, 11])
+def test_adjoint_refuses_a_signal_that_is_not_one_entry_per_edge(length):
+    d = standard_graph("wheel", 6).incidence  # 10 edges; the hub has 5 ranks
+    with pytest.raises(DimensionError):
+        d.adjoint(np.ones((3, length)), axis=1)
+    assert d.abs_adjoint(np.ones((3, 10)), axis=1).shape == (3, 6)
+
+
+def test_incidence_kernels_stay_edge_sized():
+    # the 8-NN factor of the benchmark at 1000 vertices, times cycle(100): the
+    # kernels may hold two edge-sized arrays (x[i] and x[j] while D x is formed)
+    # and one vertex-sized array more; a padded copy of an edge array does not fit
+    rng = np.random.default_rng(62)
+    g1, g2 = sensor_graph(rng, 1000), standard_graph("cycle", 100)
+    f = rng.standard_normal((1000, 100))
+    edge_mb, vertex_mb = g1.edge_count * 100 * 8 / 2**20, f.nbytes / 2**20
+    g1.incidence  # the tables are built once per graph, outside the measured calls
+    calls = [lambda: local_variation_matrix(f, g1, g2, 1)]
+    calls += [lambda q=q: _edge_gradient(f, g1, q, 0) for q in (1.0, 1.5, 2.0)]
+    for call in calls:
+        assert traced_peak_mb(call) <= 2 * edge_mb + vertex_mb
