@@ -69,10 +69,7 @@ def _streamed_naive_seconds(U1: np.ndarray, U2: np.ndarray, vec: np.ndarray,
     out = np.empty(n)
     for k1 in range(0, n1, k1_per_block):
         hi = min(k1 + k1_per_block, n1)
-        try:
-            block = np.kron(U1[:, k1:hi].T, U2.T)  # ((hi-k1)*n2, n)
-        except MemoryError as exc:
-            raise MdgspError("allocation failure while streaming the naive basis") from exc
+        block = np.kron(U1[:, k1:hi].T, U2.T)  # ((hi-k1)*n2, n)
         for rep in range(repetitions):
             t0 = time.perf_counter()
             out[k1 * n2 : hi * n2] = block @ vec

@@ -106,7 +106,7 @@ def _write_manifest(primary_out: str, command: str, args: argparse.Namespace,
 
 
 def _json_out(payload: dict, path: str) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, default=str) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8")
 
 
 def _factor_matrix(g, source: str = "laplacian") -> np.ndarray:
@@ -142,7 +142,7 @@ def cmd_eig(args) -> int:
         _json_out({"source": args.source, "eigenvalues": [float(v) for v in basis.values]},
                   args.out)
     else:
-        Path(args.out).write_text(spectrum_to_csv(basis.values))
+        Path(args.out).write_text(spectrum_to_csv(basis.values), encoding="utf-8")
     if args.basis_out:
         save_matrix(basis.vectors, args.basis_out)
     return 0
@@ -158,7 +158,8 @@ def cmd_gft(args) -> int:
     if args.aggregate_out:
         # a --tol-mult that was given is > 0 (checked in `main`)
         tol = args.tol_mult or default_tol_mult(np.concatenate([b1.values, b2.values]))
-        Path(args.aggregate_out).write_text(aggregate_to_csv(aggregate_to_1d(s, tol)))
+        Path(args.aggregate_out).write_text(aggregate_to_csv(aggregate_to_1d(s, tol)),
+                                            encoding="utf-8")
     return 0
 
 

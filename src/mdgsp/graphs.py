@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -386,13 +389,22 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _read_text(path: str | Path) -> str:
-    """The UTF-8 text of a file; FormatError naming the file if it is not UTF-8.
-    Every input file that is read as text is read through this."""
+@contextmanager
+def _utf8_file(path: str | Path) -> Iterator[TextIO]:
+    """A file opened as UTF-8 text with universal newlines; FormatError naming the file
+    when a read meets bytes that are not UTF-8. Every input file that is read as text is
+    opened through this."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            yield f
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_text(path: str | Path) -> str:
+    """The whole UTF-8 text of a file (see `_utf8_file`)."""
+    with _utf8_file(path) as f:
+        return f.read()
 
 
 def _json_object(text: str, what: str, *keys: str) -> dict:
@@ -434,7 +446,7 @@ def graph_from_json(text: str) -> Graph:
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(graph_to_json(g))
+    Path(path).write_text(graph_to_json(g), encoding="utf-8")
 
 
 def load_graph(path: str | Path) -> Graph:

@@ -29,7 +29,9 @@ def _fmt(x: float) -> str:
 
 
 def _escape(text: str) -> str:
-    """XML character data: `xml.sax.saxutils.escape` without its ~40 ms import."""
+    """XML character data: `xml.sax.saxutils.escape` without its ~40 ms import. Bytes the
+    OS could not decode (as in a C locale) are read as UTF-8, else as U+FFFD."""
+    text = text.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

@@ -14,6 +14,8 @@ grouping sum frequencies.
 from __future__ import annotations
 
 import math
+import re
+from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, starmap
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError, SpectrumError
-from .graphs import _read_text
+from .graphs import _utf8_file
 from .spectral import EigenBasis, check_tol_mult, group_bounds
 
 Signal2D = np.ndarray  # real (n1, n2) matrix; validated at function entry
@@ -318,6 +320,32 @@ def signal_to_csv(f: Signal2D) -> str:
     return "".join(_signal_blocks(f))
 
 
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of `text`, each with its line feed, as a text file gives them."""
+    return (m[0] for m in re.finditer(".*\n?", text))
+
+
+def _csv_lines(blocks: Iterable[str]) -> Iterator[str]:
+    """The lines of `text.strip().splitlines()`, where `text` joins `blocks` (such as the
+    lines of a file), each ending at a line end or at the end of the text. Only one block
+    is held, and the blank lines since the last line that is not blank."""
+    last, blanks = None, []
+    for block in blocks:
+        for line in block.splitlines():
+            if not line or line.isspace():
+                if last is not None:
+                    blanks.append(line)
+            elif last is None:
+                last = line.lstrip()
+            else:
+                yield last
+                yield from blanks
+                blanks.clear()
+                last = line
+    if last is not None:
+        yield last.rstrip()
+
+
 def _signal_row(ln: int, line: str) -> np.ndarray:
     """One signal CSV line as a float row; FormatError naming line `ln` if it does not parse."""
     try:
@@ -327,8 +355,8 @@ def _signal_row(ln: int, line: str) -> np.ndarray:
 
 
 def _signal_from_lines(lines: Iterable[str]) -> Signal2D:
-    """The signal whose CSV lines (blank ends already dropped) are `lines`, parsed one
-    row at a time."""
+    """The signal whose CSV lines are `lines` (see `_csv_lines`), parsed one row at a
+    time."""
     rows = list(starmap(_signal_row, enumerate(lines, start=1)))
     if not rows:
         raise FormatError("signal CSV is empty")
@@ -349,12 +377,12 @@ def signal_from_csv(text: str) -> Signal2D:
     try:
         return bulk.signal(bulk.text_chunks(text))
     except bulk.NotPlain:
-        return _signal_from_lines(text.strip().splitlines())
+        return _signal_from_lines(_csv_lines(_text_lines(text)))
 
 
 def _write_chunks(chunks: Iterator[str], path: str | Path) -> None:
     """Write text chunk by chunk, so the whole text never exists at once."""
-    with open(path, "w") as out:
+    with open(path, "w", encoding="utf-8") as out:
         out.writelines(chunks)
 
 
@@ -364,15 +392,16 @@ def save_signal(f: Signal2D, path: str | Path) -> None:
 
 
 def load_signal(path: str | Path) -> Signal2D:
-    """`signal_from_csv` of a file, read in blocks of whole lines (whole if the file
-    is not plain)."""
+    """`signal_from_csv` of a file, read in blocks of whole lines (streamed again as
+    UTF-8 text if the file is not plain)."""
     from . import _csvread as bulk  # on first use: see its docstring
 
     try:
         with open(path, "rb") as raw:
             return bulk.signal(bulk.file_chunks(raw))
     except bulk.NotPlain:
-        return _signal_from_lines(_read_text(path).strip().splitlines())
+        with _utf8_file(path) as f:
+            return _signal_from_lines(_csv_lines(f))
 
 
 _SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power"
@@ -416,58 +445,77 @@ def spectrum_to_csv(s: Spectrum2D) -> str:
 def spectrum_from_csv(text: str) -> Spectrum2D:
     """Read `spectrum_to_csv` text. Every (k1, k2) pair of the index grid must appear
     exactly once, every row of one k1 (k2) must give the same lambda1 (lambda2), and no
-    value may be NaN (an overflowing power is written as inf). A plain text is read in
-    bulk (see `_csvread`), any other one token at a time, to the same spectrum or error."""
-    from . import _csvread as bulk  # on first use: see its docstring
-
-    try:
-        return Spectrum2D(*bulk.spectrum(bulk.text_chunks(text), _SPECTRUM_HEADER))
-    except bulk.NotPlain:
-        return _spectrum_by_token(text)
+    value may be NaN (an overflowing power is written as inf)."""
+    return _spectrum_from_lines(_csv_lines(_text_lines(text)))
 
 
-def _spectrum_by_token(text: str) -> Spectrum2D:
-    """`spectrum_from_csv` one token at a time: the reference reader, and the one that
-    words every error."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != _SPECTRUM_HEADER:
+def _spectrum_from_lines(lines: Iterator[str]) -> Spectrum2D:
+    """The spectrum whose CSV lines are `lines` (see `_csv_lines`), read a line and a token
+    at a time. Each line is checked as it is read: columns, `int` and `float` tokens, a
+    negative or repeated (k1, k2), NaN, lambda1, lambda2; the error is the first bad
+    line's. Repeats are found by one sort when reading stops, not by a table indexed by k."""
+    if next(lines, None) != _SPECTRUM_HEADER:
         raise FormatError("spectrum CSV missing expected header")
-    if len(lines) == 1:
+    numbers = ({}, {})  # k1 (k2) -> its number, in order of first reading
+    lams = ([], [])  # lambda1 (lambda2) by that number, as first read
+    pairs = array("q")  # the k1 and k2 numbers of each row, in turn
+    parts = array("d")  # the re and im of each row, in turn
+    try:
+        for ln, line in enumerate(lines, start=2):
+            tok = line.split(",")
+            if len(tok) != 7:
+                raise FormatError(f"spectrum CSV line {ln}: expected 7 columns")
+            try:
+                k, x = (int(tok[0]), int(tok[1])), list(map(float, tok[2:]))
+            except ValueError as exc:
+                raise FormatError(f"spectrum CSV line {ln}: {exc}") from exc
+            if min(k) < 0:
+                raise FormatError(f"spectrum CSV line {ln}: negative index pair (k1, k2) = {k}")
+            row = [seen.setdefault(kd, len(seen)) for kd, seen in zip(k, numbers)]
+            pairs.extend(row)
+            if any(map(math.isnan, x)):
+                raise FormatError(f"spectrum CSV line {ln}: NaN value")
+            for d, (i, lam, first) in enumerate(zip(row, x, lams), start=1):
+                # the writer prints one repr per eigenvalue, so rows agree exactly
+                if i == len(first):
+                    first.append(lam)
+                elif first[i] != lam:
+                    raise FormatError(f"spectrum CSV line {ln}: lambda{d} = {lam!r} for "
+                                      f"k{d} = {k[d - 1]}, but an earlier row gives {first[i]!r}")
+            parts.extend(x[2:4])
+    except FormatError:
+        _raise_first_repeat(numbers, pairs)
+        raise
+    _raise_first_repeat(numbers, pairs)
+    if not parts:
         raise FormatError("spectrum CSV has no data rows")
-    entries = {}
-    lams = ({}, {})  # k1 -> lambda1, k2 -> lambda2, as first read
-    for ln, line in enumerate(lines[1:], start=2):
-        tok = line.split(",")
-        if len(tok) != 7:
-            raise FormatError(f"spectrum CSV line {ln}: expected 7 columns")
-        try:
-            k, x = (int(tok[0]), int(tok[1])), [float(t) for t in tok[2:]]
-        except ValueError as exc:
-            raise FormatError(f"spectrum CSV line {ln}: {exc}") from exc
-        if min(k) < 0 or k in entries:
-            what = "negative" if min(k) < 0 else "repeated"
-            raise FormatError(f"spectrum CSV line {ln}: {what} index pair (k1, k2) = {k}")
-        if any(map(math.isnan, x)):
-            raise FormatError(f"spectrum CSV line {ln}: NaN value")
-        for d, (kd, lam, seen) in enumerate(zip(k, x, lams), start=1):
-            # the writer prints one repr per eigenvalue, so rows agree exactly
-            if seen.setdefault(kd, lam) != lam:
-                raise FormatError(f"spectrum CSV line {ln}: lambda{d} = {lam!r} for k{d} = {kd}, "
-                                  f"but an earlier row gives {seen[kd]!r}")
-        entries[k] = complex(x[2], x[3])
-    n1 = 1 + max(lams[0])
-    n2 = 1 + max(lams[1])
-    if len(entries) != n1 * n2:
-        raise FormatError(f"spectrum CSV has {len(entries)} rows, expected {n1 * n2}: "
+    n1, n2 = (1 + max(seen) for seen in numbers)
+    if len(pairs) // 2 != n1 * n2:
+        raise FormatError(f"spectrum CSV has {len(pairs) // 2} rows, expected {n1 * n2}: "
                           "some (k1, k2) pairs are missing")
-    vals = np.zeros((n1, n2), dtype=np.complex128)
-    for (k1, k2), z in entries.items():
-        vals[k1, k2] = z
-    lam1 = np.array([lams[0][k1] for k1 in range(n1)])
-    lam2 = np.array([lams[1][k2] for k2 in range(n2)])
-    if np.all(vals.imag == 0.0):
-        vals = vals.real
-    return Spectrum2D(values=vals, lambdas1=lam1, lambdas2=lam2)
+    # every pair appears once, so the k1 (k2) read are 0 .. n1 - 1 (n2 - 1)
+    k1, k2 = (np.fromiter(seen, np.int64, len(seen)) for seen in numbers)
+    lam1, lam2 = np.empty(n1), np.empty(n2)
+    lam1[k1], lam2[k2] = lams
+    rows = np.frombuffer(pairs, np.int64).reshape(-1, 2)
+    flat = k1[rows[:, 0]] * n2
+    flat += k2[rows[:, 1]]
+    z = np.frombuffer(parts, np.complex128)
+    values = np.empty(n1 * n2, np.complex128 if z.imag.any() else np.float64)
+    values[flat] = z if values.dtype == np.complex128 else z.real
+    return Spectrum2D(values=values.reshape(n1, n2), lambdas1=lam1, lambdas2=lam2)
+
+
+def _raise_first_repeat(numbers: tuple[dict, dict], pairs: array) -> None:
+    """FormatError naming the first row whose (k1, k2) an earlier row gives, if any."""
+    a, b = np.frombuffer(pairs, np.int64).reshape(-1, 2).T
+    order = np.lexsort((b, a))  # a stable sort: the rows of one pair stay in file order
+    a, b = a[order], b[order]
+    repeats = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
+    if len(repeats):
+        row = int(repeats.min())
+        k = tuple(list(seen)[pairs[2 * row + d]] for d, seen in enumerate(numbers))
+        raise FormatError(f"spectrum CSV line {row + 2}: repeated index pair (k1, k2) = {k}")
 
 
 def save_spectrum(s: Spectrum2D, path: str | Path) -> None:
@@ -476,12 +524,6 @@ def save_spectrum(s: Spectrum2D, path: str | Path) -> None:
 
 
 def load_spectrum(path: str | Path) -> Spectrum2D:
-    """`spectrum_from_csv` of a file, read in blocks of whole lines (whole if the file
-    is not plain)."""
-    from . import _csvread as bulk  # on first use: see its docstring
-
-    try:
-        with open(path, "rb") as raw:
-            return Spectrum2D(*bulk.spectrum(bulk.file_chunks(raw), _SPECTRUM_HEADER))
-    except bulk.NotPlain:
-        return _spectrum_by_token(_read_text(path))
+    """`spectrum_from_csv` of a UTF-8 file, read in blocks of whole lines."""
+    with _utf8_file(path) as f:
+        return _spectrum_from_lines(_csv_lines(f))

@@ -898,6 +898,40 @@ def test_bench_check_equality_flag(workdir):
     assert rep["equality_discrepancy"] <= 1e-9
 
 
+def test_bench_allocation_failure_exits_6(workdir, capsys, monkeypatch):
+    # 65 x 65 = 4225 vertices is above NAIVE_FULL_CAP, so the naive basis is built in
+    # np.kron blocks, and the first block's allocation fails
+    def no_memory(*args):
+        raise MemoryError("no memory for the block")
+
+    monkeypatch.setattr(np, "kron", no_memory)
+    out = workdir / "b.json"
+    assert run("bench", "--sizes", 65, "--reps", 1, "--out", out) == 6
+    assert capsys.readouterr().err == "mdgsp: error[allocation]: no memory for the block\n"
+    assert not list(workdir.glob("b.json*"))
+
+
+def test_text_outputs_are_utf8_under_a_c_locale(workdir):
+    # the heatmap's title is the signal's file name: ASCII, the C locale's encoding, cannot
+    # write it, and the name reaches the program as surrogate escapes of its bytes
+    (workdir / "s\u00efgnal.csv").write_bytes((workdir / "f.csv").read_bytes())
+    src = str(Path(mdgsp.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONCOERCECLOCALE", "PYTHONIO"))}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    svgs = []
+    for name, mode in [("c", dict(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")),
+                       ("utf8", dict(PYTHONUTF8="1"))]:
+        argv = [sys.executable, "-m", "mdgsp.cli", "gft", "--g1", "g1.json", "--g2", "g2.json",
+                "--signal", "s\u00efgnal.csv", "--out", f"{name}.csv", "--svg", f"{name}.svg"]
+        done = subprocess.run(argv, cwd=workdir, env={**env, **mode}, capture_output=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        svgs.append((workdir / f"{name}.svg").read_bytes())
+    assert svgs[0] == svgs[1]
+    assert ">s\u00efgnal.csv</text>".encode() in svgs[0]
+
+
 @pytest.mark.parametrize("kind, name, payload", [
     ("fgw", "ragged h", {"h": [[1.0, 0.5], [0.2]]}),
     ("fgw", "list payload", ["h"]),

@@ -379,6 +379,31 @@ def test_spectrum_reader_holds_a_fraction_of_the_text(tmp_path):
     assert traced_peak_mb(lambda: load_spectrum(tmp_path / "s.csv")) <= 10
 
 
+def test_spectrum_reader_streams_a_file_with_an_inf_power(tmp_path):
+    # the spectrum above with one power that overflows: "inf" made the file one that
+    # was read whole, at a peak of 39.5 MiB
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((1000, 100))
+    values[500, 50] = 1e200
+    s = Spectrum2D(values=values, lambdas1=np.sort(rng.random(1000)),
+                   lambdas2=np.sort(rng.random(100)))
+    path = tmp_path / "s.csv"
+    save_spectrum(s, path)
+    assert path.read_text().count(",inf\n") == 1
+    assert load_spectrum(path).values.tobytes() == values.tobytes()
+    assert traced_peak_mb(lambda: load_spectrum(path)) <= 10
+
+
+def test_signal_reader_streams_a_file_that_is_not_plain(tmp_path):
+    # ", " separators are not plain; read whole, the peak was 4.1 MiB, and streamed it
+    # is 1.9 MiB: the parsed rows and the (1000, 100) array built from them
+    f = np.random.default_rng(10).standard_normal((1000, 100))
+    path = tmp_path / "f.csv"
+    path.write_text("".join(", ".join(map(repr, row)) + "\n" for row in f.tolist()))
+    assert load_signal(path).tobytes() == f.tobytes()
+    assert traced_peak_mb(lambda: load_signal(path)) <= 2.4
+
+
 # ---------------------------------------------------------------- aggregation
 
 

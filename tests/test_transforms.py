@@ -1,5 +1,7 @@
 """1-D/2-D/n-D/adjacency/multivariate transforms and spectrum grouping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -515,12 +517,11 @@ def test_a_plain_signal_file_is_read_in_bulk(tmp_path, monkeypatch):
     assert load_signal(tmp_path / "f.csv").tobytes() == f.tobytes()
 
 
-def test_a_plain_spectrum_file_is_read_in_bulk(tmp_path, monkeypatch):
+def test_a_complex_spectrum_file_round_trips(tmp_path):
     rng = np.random.default_rng(11)
     s = Spectrum2D(values=rng.standard_normal((300, 40)) + 1j * rng.standard_normal((300, 40)),
                    lambdas1=np.sort(rng.random(300)), lambdas2=np.sort(rng.random(40)))
     save_spectrum(s, tmp_path / "s.csv")
-    monkeypatch.setattr(transforms, "_spectrum_by_token", per_token_reader_called)
     back = load_spectrum(tmp_path / "s.csv")
     assert back.values.dtype == np.complex128 and back.values.tobytes() == s.values.tobytes()
     assert back.lambdas1.tobytes() == s.lambdas1.tobytes()
@@ -600,12 +601,55 @@ def test_spectrum_readers_agree_on_the_header(tmp_path, header):
     assert_spectrum_readers_agree(tmp_path, spectrum_text(GRID, header=header))
 
 
+def spectrum_by_token(text):
+    """The spectrum of a spectrum CSV text, read whole and parsed one token at a time:
+    the reference that both readers must equal, value for value and error for error."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != transforms._SPECTRUM_HEADER:
+        raise FormatError("spectrum CSV missing expected header")
+    if len(lines) == 1:
+        raise FormatError("spectrum CSV has no data rows")
+    entries = {}
+    lams = ({}, {})  # k1 -> lambda1, k2 -> lambda2, as first read
+    for ln, line in enumerate(lines[1:], start=2):
+        tok = line.split(",")
+        if len(tok) != 7:
+            raise FormatError(f"spectrum CSV line {ln}: expected 7 columns")
+        try:
+            k, x = (int(tok[0]), int(tok[1])), [float(t) for t in tok[2:]]
+        except ValueError as exc:
+            raise FormatError(f"spectrum CSV line {ln}: {exc}") from exc
+        if min(k) < 0 or k in entries:
+            what = "negative" if min(k) < 0 else "repeated"
+            raise FormatError(f"spectrum CSV line {ln}: {what} index pair (k1, k2) = {k}")
+        if any(map(math.isnan, x)):
+            raise FormatError(f"spectrum CSV line {ln}: NaN value")
+        for d, (kd, lam, seen) in enumerate(zip(k, x, lams), start=1):
+            if seen.setdefault(kd, lam) != lam:
+                raise FormatError(f"spectrum CSV line {ln}: lambda{d} = {lam!r} for k{d} = {kd}, "
+                                  f"but an earlier row gives {seen[kd]!r}")
+        entries[k] = complex(x[2], x[3])
+    n1 = 1 + max(lams[0])
+    n2 = 1 + max(lams[1])
+    if len(entries) != n1 * n2:
+        raise FormatError(f"spectrum CSV has {len(entries)} rows, expected {n1 * n2}: "
+                          "some (k1, k2) pairs are missing")
+    vals = np.zeros((n1, n2), dtype=np.complex128)
+    for (k1, k2), z in entries.items():
+        vals[k1, k2] = z
+    lam1 = np.array([lams[0][k1] for k1 in range(n1)])
+    lam2 = np.array([lams[1][k2] for k2 in range(n2)])
+    if np.all(vals.imag == 0.0):
+        vals = vals.real
+    return Spectrum2D(values=vals, lambdas1=lam1, lambdas2=lam2)
+
+
 def assert_spectrum_readers_agree(tmp_path, text):
     path = tmp_path / "s.csv"
     with open(path, "w", newline="") as fh:
         fh.write(text)
     outcomes = []
-    for read in (lambda: transforms._spectrum_by_token(text), lambda: spectrum_from_csv(text),
+    for read in (lambda: spectrum_by_token(text), lambda: spectrum_from_csv(text),
                  lambda: load_spectrum(path)):
         try:
             s = read()
@@ -614,6 +658,92 @@ def assert_spectrum_readers_agree(tmp_path, text):
         except FormatError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+    return outcomes[0]
+
+
+# Line ends that str.splitlines() cuts at: a file read with universal newlines turns
+# "\r" and "\r\n" into "\n" and keeps the others. Whitespace that is not a line end.
+LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+SPACES = [" ", "\t", "\xa0", "\u3000", "\x1f"]
+HUGE_INDICES = ["9007199254740993", "9223372036854775809", "18446744073709551617"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csv_lines_equal_strip_splitlines(tmp_path, seed):
+    # from a text and from a file, in and around blank lines and at both ends
+    rng = np.random.default_rng(seed)
+    alphabet = ["a", "b", ","] + LINE_ENDS + SPACES + ["\u2029", "\x1d", "\x1e"]
+    path = tmp_path / "t.csv"
+    for _ in range(500):
+        text = "".join(rng.choice(alphabet, int(rng.integers(0, 14))))
+        expected = text.strip().splitlines()
+        assert list(transforms._csv_lines(transforms._text_lines(text))) == expected
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with transforms._utf8_file(path) as f:
+            assert list(transforms._csv_lines(f)) == expected
+
+
+def multi_fault_text(rng):
+    """A spectrum CSV text of a small grid, with up to four faults or oddities drawn at
+    random, blank lines inside and at both ends, and random line ends."""
+    rows = grid_rows(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+    if rng.random() < 0.3:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    for _ in range(int(rng.integers(0, 5))):
+        if not rows:
+            break
+        i = int(rng.integers(len(rows)))
+        row = list(rows[i])
+
+        def cell(lo, hi):  # a column in [lo, hi) of this row, or its last
+            return min(int(rng.integers(lo, hi)), len(row) - 1)
+
+        fault = int(rng.integers(9))
+        if fault == 0:  # repeated
+            rows.insert(int(rng.integers(i, len(rows) + 1)), row)
+        elif fault == 1:  # missing
+            del rows[i]
+        elif fault == 2:
+            row[cell(2, 7)] = "nan"
+        elif fault == 3:  # a lambda that disagrees with the first row of its k
+            row[cell(2, 4)] = repr(float(rng.random()))
+        elif fault == 4:  # a token int() or float() refuses
+            row[cell(0, 7)] = str(rng.choice(["x", "1.5", "", "1e", "0x1", "1,2"]))
+        elif fault == 5:
+            row[cell(0, 2)] = "-1"
+        elif fault == 6:  # an index beyond 2**53, 2**63 or 2**64, sometimes repeated
+            row[cell(0, 2)] = str(rng.choice(HUGE_INDICES))
+            if rng.random() < 0.5:
+                rows.insert(int(rng.integers(i + 1, len(rows) + 1)), row)
+        elif fault == 7:
+            row = row[:6] if rng.random() < 0.5 else row + ["0.0"]
+        else:  # no fault: a complex value, or a power that overflows
+            row[cell(5, 7)] = str(rng.choice(["-2.5", "inf", "1e999"]))
+        if fault > 1:
+            rows[i] = row
+    lines = [",".join(r) for r in rows]
+    blanks = ["", *SPACES, " \t "]
+    for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.3 else 0):
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(blanks)))
+    head = " " + SPECTRUM_HEADER.strip() if rng.random() < 0.2 else SPECTRUM_HEADER.strip()
+    lines = ([str(rng.choice(blanks)) for _ in range(int(rng.integers(0, 3)))] + [head] + lines
+             + [str(rng.choice(blanks)) for _ in range(int(rng.integers(0, 3)))])
+    ends = [str(e) for e in rng.choice(LINE_ENDS, len(lines))]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if rng.random() < 0.7 else text[:-1]  # the last line end, or half of one, cut
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spectrum_readers_equal_the_reference_on_multi_fault_texts(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    outcomes = [assert_spectrum_readers_agree(tmp_path, multi_fault_text(rng))
+                for _ in range(150)]
+    # the corpus reaches every check: a spectrum, and each kind of error
+    words = {"repeated", "missing", "NaN", "lambda1", "lambda2", "invalid literal",
+             "could not convert", "negative", "7 columns"}
+    assert any(not isinstance(o, str) for o in outcomes)
+    assert {w for w in words for o in outcomes if isinstance(o, str) and w in o} == words
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
