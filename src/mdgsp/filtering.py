@@ -192,10 +192,10 @@ def _poly_apply(L: np.ndarray, Z: np.ndarray, R: np.ndarray, axis: int) -> np.nd
     and the sum stops at the last nonzero R[s].
     """
     R = _true_degree(R, 0)
-    X = np.zeros_like(Z)
-    for s, r in enumerate(R):
-        if s > 0:
-            Z = L @ Z if axis == 0 else Z @ L
+    X = Z @ R[0] if axis == 0 else R[0] @ Z
+    X += 0.0  # the bits of a sum that starts at +0.0: a -0.0 term adds to +0.0
+    for r in R[1:]:
+        Z = L @ Z if axis == 0 else Z @ L
         X += Z @ r if axis == 0 else r @ Z
     return X
 

@@ -392,13 +392,16 @@ def graph_to_json(g: Graph) -> str:
 @contextmanager
 def _utf8_file(path: str | Path) -> Iterator[TextIO]:
     """A file opened as UTF-8 text with universal newlines; FormatError naming the file
-    when a read meets bytes that are not UTF-8. Every input file that is read as text is
-    opened through this."""
-    try:
-        with open(path, encoding="utf-8") as f:
+    and the bad byte's offset in it when a read meets bytes that are not UTF-8. Every
+    input file that is read as text is opened through this."""
+    with open(path, encoding="utf-8") as f:
+        try:
             yield f
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # the decoder was given exc.object, the bytes that end at the file's position
+            offset = f.buffer.tell() - len(exc.object) + exc.start
+            raise FormatError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                              f"at offset {offset}: {exc.reason}") from exc
 
 
 def _read_text(path: str | Path) -> str:

@@ -47,12 +47,14 @@ class WhiteNoise2D:
     The bits come from a Philox counter-based generator keyed by
     `SeedSequence(seed)`. Sample i reads the b counter steps that follow
     counter i*b, with b = ceil(n1*n2 / 4) because each step yields 4 words,
-    so any sample or
-    any batch is reproducible regardless of generation order, and `sample(i)`
-    equals row i of `batch(count)` bit for bit at O(1) cost. Every value
-    takes a fixed number of words: Gaussian values come in Box-Muller pairs,
-    one word per uniform, and a Rademacher value is the sign of one word's
-    top bit.
+    so any sample or any batch is reproducible regardless of generation
+    order, and `sample(i)` equals row i of `batch(count)` bit for bit at
+    O(1) cost. Every value takes a fixed number of words: Gaussian values
+    come in Box-Muller pairs, one word per uniform, where words j and h+j
+    of the sample's 4b-word block (h = 2b, half the block) give values j
+    and h+j (`_box_muller`); a Rademacher value is the sign of one word's
+    top bit. Values past n1*n2 are dropped. Drawing the pairs from
+    contiguous halves left this stream as it was, bit for bit.
     """
 
     n1: int
@@ -73,13 +75,13 @@ class WhiteNoise2D:
         key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
         bits = np.random.Philox(key=key, counter=first * blocks)
         out = np.empty((count, n))
-        # cache-sized pieces transform ~1.6x faster than one pass; same bits
+        # cache-sized pieces draw ~1.6x faster than one pass of 2^18 words; same bits
         rows = max(1, _CHUNK_WORDS // width)
         for start in range(0, count, rows):
             stop = min(start + rows, count)
             words = bits.random_raw((stop - start) * width).reshape(stop - start, width)
             if self.distribution == "gaussian":
-                out[start:stop] = _box_muller(words)[:, :n]
+                _box_muller(words, out[start:stop])
             else:
                 out[start:stop] = (words >> 63)[:, :n]
         if self.distribution == "rademacher":
@@ -98,20 +100,28 @@ class WhiteNoise2D:
         return self._draw(0, count)
 
 
-def _box_muller(words: np.ndarray) -> np.ndarray:
-    """Standard normals from rows of 64-bit words, overwriting them.
+def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
+    """Standard normals from rows of 64-bit words, written to the n columns of `out`.
 
-    With h half the row length, words j and h+j give the 52-bit uniforms
-    u in (0, 1] and v in [0, 1). Values j and h+j are r cos(theta) and
-    r sin(theta) with r = sqrt(-2 log u) and theta = 2 phi,
-    phi = pi (v - 1/2). The half-angle forms cos(theta) = 2 / (1 + t^2) - 1
+    Each row is one sample's 4 ceil(n1 n2 / 4)-word block; with h half the
+    row length, words j and h+j give the 52-bit uniforms u in (0, 1] and v in
+    [0, 1), and values j and h+j are r cos(theta) and r sin(theta), with
+    r = sqrt(-2 log u), theta = 2 phi and phi = pi (v - 1/2); `out` takes the
+    first n <= 2h values. The half-angle forms cos(theta) = 2 / (1 + t^2) - 1
     and sin(theta) = 2 t / (1 + t^2), t = tan(phi), need no cos or sin call.
+
+    The words are shifted once into two contiguous halves, every u word and
+    every v word, so that each step runs on contiguous memory, and the last
+    steps write into `out`. The pairing and the sequence of operations are
+    those of the earlier form on half-row views, so the stream is unchanged
+    bit for bit (tests/test_core_bytes.py keeps that form as its oracle).
     """
-    h = words.shape[1] // 2
-    words >>= 12
-    words |= _ONE_BITS  # 52 random mantissa bits under 1.0's exponent: [1, 2)
-    values = words.view(np.float64)
-    r, t = values[:, :h], values[:, h:]
+    rows, width = words.shape
+    h, n = width // 2, out.shape[1]
+    uv = np.empty((2, rows, h), np.uint64)
+    np.right_shift(words.reshape(rows, 2, h).transpose(1, 0, 2), 12, out=uv)
+    uv |= _ONE_BITS  # 52 random mantissa bits under 1.0's exponent: [1, 2)
+    r, t = uv.view(np.float64)
     np.subtract(2.0, r, out=r)
     np.log(r, out=r)
     r *= -2.0
@@ -123,10 +133,10 @@ def _box_muller(words: np.ndarray) -> np.ndarray:
     half += 1.0
     np.divide(r, half, out=half)  # r / (1 + t^2)
     t *= half
-    t *= 2.0
     half *= 2.0
-    np.subtract(half, r, out=r)
-    return values
+    k = min(n, h)
+    np.subtract(half[:, :k], r[:, :k], out=out[:, :k])
+    np.multiply(t[:, :n - k], 2.0, out=out[:, k:])
 
 
 @dataclass(frozen=True)
@@ -289,7 +299,7 @@ class _SampleChunks:
         for first in range(0, self.count, rows):
             Z = self.noise._draw(first, min(rows, self.count - first))
             X = self.vertex(Z)
-            size = float(np.abs(X).max())
+            size = float(max(X.max(), -X.min()))
             scale, gap = max(scale, size), 0.0
             # the scale only grows, so a chunk that passes here passes at the end; a
             # non-finite bound passes no chunk

@@ -18,6 +18,7 @@ from mdgsp import (
     KernelError,
     MdgspError,
     SamplingError,
+    Spectrum2D,
     SpectrumError,
     load_graph,
     load_signal,
@@ -28,6 +29,7 @@ from mdgsp import (
     sample_directional,
     save_graph,
     save_signal,
+    save_spectrum,
     standard_graph,
     total_directional_variation,
 )
@@ -1106,6 +1108,48 @@ def test_input_file_that_is_not_utf8_exits_3(workdir, capsys, name):
     assert err.startswith("mdgsp: error[format]: ") and err.count("\n") == 1
     assert str(path) in err
     assert not list(workdir.glob("o.*"))
+
+
+def _bad_byte_at(path, offset):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:offset] + b"\xff" + raw[offset:])
+    return f"mdgsp: error[format]: {path} is not UTF-8 text: byte 0xff at offset {offset}: " \
+           "invalid start byte\n"
+
+
+def test_bad_byte_in_a_streamed_spectrum_is_named_by_its_offset_in_the_file(tmp_path, capsys):
+    # the reader decodes 8 KiB at a time: byte 20000 is byte 3616 of its chunk
+    rng = np.random.default_rng(9)
+    path = tmp_path / "s.csv"
+    save_spectrum(Spectrum2D(values=rng.standard_normal((1000, 100)),
+                             lambdas1=np.sort(rng.random(1000)),
+                             lambdas2=np.sort(rng.random(100))), path)
+    want = _bad_byte_at(path, 20000)
+    assert run("render", "--spectrum", path, "--svg", tmp_path / "o.svg") == 3
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "o.svg").exists()
+
+
+def test_bad_byte_in_a_graph_read_whole_is_named_by_its_offset(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    save_graph(standard_graph("path", 3000), path)
+    want = _bad_byte_at(path, 20000)
+    assert run("eig", "--g1", path, "--out", tmp_path / "o.csv") == 3
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_bad_byte_in_a_signal_read_per_token_is_named_by_its_offset(tmp_path, capsys):
+    # the byte makes the text not plain, so the signal is streamed again per token
+    save_graph(standard_graph("path", 200), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", 20), tmp_path / "g2.json")
+    path = tmp_path / "f.csv"
+    save_signal(np.random.default_rng(4).standard_normal((200, 20)), path)
+    want = _bad_byte_at(path, 20000)
+    assert run("gft", "--g1", tmp_path / "g1.json", "--g2", tmp_path / "g2.json",
+               "--signal", path, "--out", tmp_path / "o.csv") == 3
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_manifest_that_cannot_be_written_exits_3(workdir, capsys):

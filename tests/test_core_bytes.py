@@ -1,10 +1,12 @@
-"""Golden byte tests: the basis core and the polynomial core against inline oracles.
+"""Golden byte tests: the basis core, the polynomial core and the noise kernel
+against inline oracles.
 
 Every transform, filter and sampler now runs through `transforms._analyze` /
 `_synthesize` (U^H or U along one axis) and `filtering._poly_apply`
-(sum_s L^s Z R[s] along one axis). The oracles below are the expressions
-each public function evaluated on its own before, written out inline; the
-library must return the same floats bit for bit.
+(sum_s L^s Z R[s] along one axis), and every Gaussian noise value through
+`stationarity._box_muller`. The oracles below are the expressions each
+function evaluated before, written out inline; the library must return the
+same floats bit for bit.
 """
 
 import numpy as np
@@ -38,6 +40,7 @@ from mdgsp import (
     spectra_of,
     standard_graph,
 )
+from mdgsp import stationarity
 from mdgsp.stationarity import WhiteNoise2D
 
 SIZES = [(7, 5), (16, 16), (60, 30)]
@@ -317,3 +320,74 @@ def test_sample_multivariate_matches_the_loop(grid, distribution, degree):
     X = sample_multivariate(Hs, L, 31, 2000, distribution=distribution)
     Z = WhiteNoise2D(16, 3, 31, distribution).batch(2000)
     assert same(X, ref_poly_rows(L, Z, Hs))
+
+
+# ---------------------------------------------------------------- noise kernel
+
+
+def ref_box_muller(words):
+    """The Box-Muller kernel as it ran before on rows of words: every step on the
+    half-row views values[:, :h] and values[:, h:]."""
+    h = words.shape[1] // 2
+    words >>= 12
+    words |= np.uint64(0x3FF0000000000000)
+    values = words.view(np.float64)
+    r, t = values[:, :h], values[:, h:]
+    np.subtract(2.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t -= 1.5
+    t *= np.pi
+    np.tan(t, out=t)
+    half = t * t
+    half += 1.0
+    np.divide(r, half, out=half)
+    t *= half
+    t *= 2.0
+    half *= 2.0
+    np.subtract(half, r, out=r)
+    return values
+
+
+KERNEL_ROWS = [1, 2, 3, 7, 64, 255]
+KERNEL_WIDTHS = [4, 8, 12, 16, 20, 36, 64, 256, 1024]  # h = 2, 4, 6, 8, 10, 18, ...
+
+
+def kernel_matches_the_oracle(kernel, rows, width, n):
+    """`kernel(words, out)` on Philox words gives the oracle's first n values bit for bit."""
+    words = np.random.Philox(rows * width).random_raw(rows * width).reshape(rows, width)
+    want = ref_box_muller(words.copy())[:, :n]
+    out = np.empty((rows, n))
+    kernel(words.copy(), out)
+    return np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+@pytest.mark.parametrize("rows", KERNEL_ROWS)
+def test_box_muller_on_contiguous_halves_matches_the_per_row_kernel(rows, width):
+    # all columns, and the n = width - 3 columns a padded sample keeps (n <= h at width 4)
+    for n in (width, width - 3):
+        assert kernel_matches_the_oracle(stationarity._box_muller, rows, width, n)
+
+
+def test_a_kernel_that_pairs_neighbouring_words_fails_the_oracle():
+    # fed words 0, 2, 4, ... then 1, 3, 5, ..., the kernel pairs word j with j + 1
+    def neighbours(words, out):
+        stationarity._box_muller(np.concatenate([words[:, 0::2], words[:, 1::2]], axis=1), out)
+
+    assert not any(kernel_matches_the_oracle(neighbours, rows, width, width)
+                   for rows in KERNEL_ROWS for width in KERNEL_WIDTHS)
+
+
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_noise_rows_are_samples_on_the_dir1_grid(distribution):
+    # 16 x 4 values, h = 32: pieces of 256 rows, so 600 samples take three
+    noise = WhiteNoise2D(16, 4, 19, distribution)
+    batch = noise.batch(600)
+    for i in (0, 1, 255, 256, 511, 512, 599):
+        assert same(noise.sample(i).view(np.uint64), batch[i].view(np.uint64))
+    key = np.random.SeedSequence(19).generate_state(2, np.uint64)
+    words = np.random.Philox(key=key, counter=0).random_raw(600 * 64).reshape(600, 64)
+    want = ref_box_muller(words) if distribution == "gaussian" else 2.0 * (words >> 63) - 1.0
+    assert same(batch.reshape(600, 64).view(np.uint64), want.view(np.uint64))

@@ -368,8 +368,7 @@ def test_signal_reader_streams_the_file(tmp_path):
 
 def test_spectrum_reader_holds_a_fraction_of_the_text(tmp_path):
     # this 1000 x 100 spectrum is 8.8 MB as text; read whole and parsed row by row,
-    # the peak was 39.5 MiB, and read in bulk it is 7.6 MiB, most of it the parsed
-    # (rows, 7) table
+    # the peak was 39.5 MiB, and streamed a block of lines at a time it is 5.9 MiB
     rng = np.random.default_rng(9)
     s = Spectrum2D(values=rng.standard_normal((1000, 100)), lambdas1=np.sort(rng.random(1000)),
                    lambdas2=np.sort(rng.random(100)))

@@ -748,6 +748,20 @@ def test_degree_one_directional_process_on_a_long_path():
     assert np.array_equal(X, Z @ Hs[0] + (L @ Z) @ Hs[1])
 
 
+def test_fgw_path_check_holds_on_a_320_x_320_product():
+    # N = 102400 values, so 2 samples to a chunk; the probe margin B max ||z||_2 /
+    # (PATH_AGREE_TOL scale) reads about 0.6 here against 1e-3 at 16 x 16, so the probes
+    # still clear both chunks, and a larger product would send chunks to the exact route
+    L = matrices(standard_graph("path", 320)).L
+    b = stationarity.eigenbasis(L, "laplacian")
+    proc = FgwProcess(kernel=PolyKernel2D(H=np.array([[1.0, 0.2, 0.01], [0.3, 0.05, 0.0]])))
+    X = sample_fgw(proc, L, L, 3, 4, b1=b, b2=b)
+    spectral = stationarity._fgw_chunks(proc, L, L, 3, 4, b1=b, b2=b).spectral
+    S = spectral(WhiteNoise2D(320, 320, 3).batch(4))
+    assert X.shape == (4, 320, 320)
+    assert np.abs(X - S).max() <= stationarity.PATH_AGREE_TOL * max(1.0, np.abs(X).max())
+
+
 def test_directional_construct_takes_a_square_root_of_a_singular_target(p3p4):
     # a rank-1 target has no Cholesky factor: the eigenvalue square root
     # must still give Htilde_k^T Htilde_k = Gamma_k^T

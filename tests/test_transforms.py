@@ -684,6 +684,21 @@ def test_csv_lines_equal_strip_splitlines(tmp_path, seed):
             assert list(transforms._csv_lines(f)) == expected
 
 
+@pytest.mark.parametrize("offset", [8190, 8191, 16383])
+def test_bad_utf8_offset_counts_bytes_held_over_a_chunk_boundary(tmp_path, offset):
+    # a sequence cut short by the 8 KiB chunk end is decoded with the next chunk, and a
+    # two-byte character before it moves every later character by one byte
+    body = ("x" * 50 + "\n").encode() * 400
+    path = tmp_path / "t.csv"
+    for raw, bad, at in ((body[:offset] + b"\xe2\x82" + body[offset:], "0xe2", offset),
+                         (body[:offset] + "\u00e9".encode() + body[offset:offset + 900]
+                          + b"\xff" + body[offset + 900:], "0xff", offset + 902)):
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"byte {bad} at offset {at}: "):
+            with transforms._utf8_file(path) as f:
+                list(transforms._csv_lines(f))
+
+
 def multi_fault_text(rng):
     """A spectrum CSV text of a small grid, with up to four faults or oddities drawn at
     random, blank lines inside and at both ends, and random line ends."""
