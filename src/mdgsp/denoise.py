@@ -9,9 +9,15 @@ work in place on their own temporaries and hold at most two edge-sized
 arrays at a time. On small grids the count of numpy calls, not the
 arithmetic, sets the cost: at path(64) x cycle(64), one BLAS thread on a
 2-core x86 host, an energy evaluation takes about 40 us and a gradient
-about 90 us. The all-quadratic case diagonalizes in the 2-D spectral
-domain and is solved in closed form; other convex exponent choices fall
-back to (sub)gradient descent.
+about 90 us.
+
+`ebem_minimize` takes one of four routes (`SolveReport.method`): the
+all-quadratic case diagonalizes in the 2-D spectral domain and is solved
+in closed form ("closed_form"); p = 2 with q = 1 on every regularized
+direction, an anisotropic total-variation problem, is solved on its
+box-constrained dual with a certified gap ("dual"); smooth exponents run
+Armijo gradient descent, and the remaining exponent-1 cases Armijo
+subgradient descent ("gradient").
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ DEFAULT_MAX_ITER = 100_000
 DEFAULT_TOL = 1e-10
 _ARMIJO_C = 1e-4
 _STEP_FLOOR = 1e-16
+# iterations between two duality-gap checks of the dual solver
+_GAP_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -65,11 +73,22 @@ class EbemParams:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """One solve's minimizer and how it was reached.
+
+    `method` names the route and sets what `residual` and `converged` mean:
+    "closed_form": residual 0, always converged; "dual": residual is the
+    relative duality gap (E(x) - g(z)) / E(x) at the last check, which
+    bounds E(x) - E* relative to E(x), and converged means it is <= tol;
+    "gradient": residual is the last relative energy decrease and converged
+    means it fell below tol, which for an exponent of 1 certifies no
+    optimality gap.
+    """
+
     minimizer: np.ndarray
     energy: float
     iterations: int
-    residual: float  # final relative energy decrease
-    method: str  # "closed_form" | "gradient"
+    residual: float
+    method: str
     converged: bool = True
     maybe_nonunique: bool = False
 
@@ -177,27 +196,131 @@ def closed_form_sweep(y: np.ndarray, g1: Graph, g2: Graph, sweep: Iterable[EbemP
                           iterations=0, residual=0.0, method="closed_form")
 
 
+def _dual_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
+                   max_iter: int, tol: float) -> SolveReport:
+    """Minimize E(x) = ||x - y||^2 + sum_e c_e |(D x)_e| (every regularized
+    direction has q = 1, c_e = gamma * w_e) through its dual.
+
+    The dual is g(z) = <D^T z, y> - ||D^T z||^2 / 4 over the box |z_e| <= c_e,
+    with x(z) = y - D^T z / 2. FISTA (Beck & Teboulle 2009) ascends it with
+    projected steps of 1 / L: the gradient D x(z) is L-Lipschitz for
+    L = lambda_max(D^T D) / 2 <= the sum over factors of their largest
+    unweighted degree. The momentum restarts when the step's gradient
+    mapping points against it (O'Donoghue & Candes 2015). An iteration costs
+    one `Incidence.apply` and one `adjoint` per regularized factor and no
+    energy evaluation.
+
+    Every `_GAP_EVERY` iterations, and at `max_iter`, the relative duality
+    gap (E(x) - g(z)) / E(x) is taken: g(z) bounds the minimum energy from
+    below, so a gap <= tol certifies x. The loop stops there, and also on a
+    gap that is not a number (a non-finite y).
+
+    The dual vector is one flat array, so the box step, momentum and restart
+    test run once per iteration on all factors. Each factor's block keeps
+    its edge axis leading, (|E|, length of the other axis), so the gathers of
+    D and D^T copy whole rows; the second factor's block reads x^T.
+    """
+    blocks, size, lipschitz = [], 0, 0
+    for gamma, g, axis in ((params.gamma1, g1, 0), (params.gamma2, g2, 1)):
+        d = g.incidence
+        if gamma > 0 and d.i.size:
+            shape = (d.i.size, y.shape[1 - axis])
+            blocks.append((d, axis, slice(size, size + shape[0] * shape[1]), shape, gamma))
+            size += shape[0] * shape[1]
+            lipschitz += int(np.bincount(np.concatenate((d.i, d.j))).max())
+    if not blocks:  # no edge is regularized: y is its own minimizer
+        return SolveReport(minimizer=y.copy(), energy=ebem_energy(y, y, g1, g2, params),
+                           iterations=0, residual=0.0, method="dual")
+
+    def split(v: np.ndarray) -> list[np.ndarray]:
+        return [v[rows].reshape(shape) for _, _, rows, shape, _ in blocks]
+
+    def adjoint(v: np.ndarray) -> np.ndarray:
+        """D^T v, shaped like y."""
+        total = None
+        for (d, axis, *_), part in zip(blocks, split(v)):
+            a = d.adjoint(part)
+            if axis == 1:
+                a = a.T
+            if total is None:
+                total = a
+            else:
+                total += a
+        return total
+
+    step = 1.0 / lipschitz
+    upper = np.empty(size)
+    for (d, *_, gamma), part in zip(blocks, split(upper)):
+        part[...] = (gamma * d.w)[:, None]
+    lower = -upper
+    grad = np.empty(size)
+    grad_parts = split(grad)
+    z = p = np.zeros(size)
+    t = 1.0
+    max_iter = max(max_iter, 1)  # the report comes from a gap check
+    for it in range(1, max_iter + 1):
+        x = adjoint(p)
+        x *= -0.5
+        x += y
+        for (d, axis, *_), part in zip(blocks, grad_parts):
+            d.apply(x if axis == 0 else np.ascontiguousarray(x.T), out=part)
+        z_new = np.multiply(grad, step)
+        z_new += p
+        np.minimum(z_new, upper, out=z_new)
+        np.maximum(z_new, lower, out=z_new)
+        dz = z_new - z
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        if np.vdot(z_new - p, dz) < 0:
+            p, t_next = z_new, 1.0
+        else:
+            dz *= (t - 1.0) / t_next
+            p = np.add(dz, z_new, out=dz)
+        z, t = z_new, t_next
+        if it % _GAP_EVERY == 0 or it == max_iter:
+            s = adjoint(z)
+            x = y - 0.5 * s
+            energy = ebem_energy(x, y, g1, g2, params)
+            dual = float(np.vdot(s, y)) - 0.25 * float(np.vdot(s, s))
+            gap = (energy - dual) / energy if energy else 0.0  # E = 0 only at x = y
+            if not gap > tol:
+                break
+    return SolveReport(minimizer=x, energy=energy, iterations=it, residual=gap,
+                       method="dual", converged=gap <= tol)
+
+
 def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
                   max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
                   force_gradient: bool = False) -> SolveReport:
     """Minimize the energy for an observation y.
 
-    With p = q1 = q2 = 2 the spectral closed form is exact: each spectral
-    coefficient of y is divided by 1 + gamma1*l1 + gamma2*l2 (always >= 1,
-    so the solve never degenerates). Smooth non-quadratic exponents run
-    gradient descent with Armijo backtracking, which guarantees the energy
-    never increases. An exponent of exactly 1 runs the same Armijo search
-    on a subgradient and reports the best iterate; only when no Armijo step
-    is found does it take a diminishing step 1 / (|g| (1 + it)). On the
-    benchmark's q = 1 and q = 1.5 solves (path(64) x cycle(64)) every
-    iteration accepted an Armijo step, at about 2.2 energy evaluations per
-    iteration, so that fallback is not exercised there (a test reaches it
-    by accepting no Armijo step). `converged` means
-    the relative energy decrease fell below tol, which certifies no
-    optimality gap for q = 1. Non-convergence (max_iter reached with the
-    residual above tol) is reported in the result, not raised. Only p = 1
-    leaves the fidelity term not strictly convex, so only then may the
-    minimizer be non-unique (`maybe_nonunique`).
+    Four routes, chosen from the parameters (see `SolveReport` for what each
+    reports):
+
+    - p = q1 = q2 = 2, or no regularization: the spectral closed form is
+      exact: each spectral coefficient of y is divided by 1 + gamma1*l1 +
+      gamma2*l2 (always >= 1, so the solve never degenerates).
+    - p = 2 and q = 1 on every direction with gamma > 0: FISTA with
+      adaptive restart on the box-constrained dual (`_dual_minimize`). The
+      relative duality gap is checked every 10 iterations and at max_iter;
+      `converged` certifies it is <= tol. On the benchmark's q = 1 solve
+      (path(64) x cycle(64), gamma 0.5) it reaches a gap of 1e-10 in
+      180-240 iterations at seeds 1, 5, 7, 13, 31 and 101.
+    - Smooth exponents (p, q1, q2 > 1): gradient descent with Armijo
+      backtracking, which guarantees the energy never increases; the
+      benchmark's q = 1.5 solve takes 46-65 iterations at those seeds.
+    - Any other exponent of 1 (p = 1, or q = 1 with p != 2), and every
+      solve with `force_gradient`: the same Armijo search on a subgradient,
+      reporting the best iterate; only when no Armijo step is found does it
+      take a diminishing step 1 / (|g| (1 + it)). `converged` means the
+      relative energy decrease fell below tol, which certifies no
+      optimality gap for q = 1: forced onto the benchmark's q = 1 solve it
+      stops after 130-209 iterations, 5e-4 to 8e-4 above the optimum, at
+      about 2.2 energy evaluations per iteration (a test reaches the
+      diminishing step by accepting no Armijo step).
+
+    Non-convergence (max_iter reached above tol) is reported in the result,
+    not raised. Only p = 1 leaves the fidelity term not strictly convex, so
+    only then may the minimizer be non-unique (`maybe_nonunique`).
 
     A gamma sweep of closed-form points runs through `closed_form_sweep`,
     which transforms y once.
@@ -205,6 +328,10 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
     y = _observation(y, g1, g2)
     if (not params.regularized or params.all_quadratic) and not force_gradient:
         return next(closed_form_sweep(y, g1, g2, [params]))
+    exponents = {q for gamma, q in ((params.gamma1, params.q1), (params.gamma2, params.q2))
+                 if gamma > 0}
+    if params.p == 2.0 and exponents == {1.0} and not force_gradient:
+        return _dual_minimize(y, g1, g2, params, max_iter, tol)
 
     smooth = params.p > 1 and params.q1 > 1 and params.q2 > 1
     x = y.copy()

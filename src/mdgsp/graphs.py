@@ -42,12 +42,14 @@ class _Side:
     more than k such edges, its edge to the k-th lowest such neighbour.
     Since the vertices run by decreasing count, those vertices are a prefix
     of `vertices`. One array per side keeps a graph's long-lived allocations
-    few.
+    few. Where `vertices` is a run of consecutive integers (both sides of a
+    path, the higher side of a cycle), `span` is that run as a slice.
     """
 
     vertices: np.ndarray
     edges: np.ndarray
     ends: tuple[int, ...]
+    span: slice | None = None
 
     @classmethod
     def of(cls, endpoint: np.ndarray, order: np.ndarray) -> "_Side":
@@ -60,16 +62,28 @@ class _Side:
         starts, counts = starts[most], counts[most]
         ranks = [order[starts[counts > k] + k] for k in range(int(counts.max(initial=0)))]
         edges = np.concatenate(ranks) if ranks else order  # no ranks: order is empty
-        return cls(vertices=_freeze(owner[starts]), edges=_freeze(edges),
-                   ends=tuple(np.cumsum([r.size for r in ranks]).tolist()))
+        vertices = owner[starts]
+        first = int(vertices[0]) if vertices.size else 0
+        span = slice(first, first + vertices.size)
+        return cls(vertices=_freeze(vertices), edges=_freeze(edges),
+                   ends=tuple(np.cumsum([r.size for r in ranks]).tolist()),
+                   span=span if np.array_equal(vertices, np.arange(span.start, span.stop))
+                   else None)
 
     def sum_into(self, out: np.ndarray, v: np.ndarray, axis: int) -> None:
         """Set out[u] to the sum of v over u's edges on this side, along `axis`,
         added one neighbour at a time in ascending order. v must have one entry
-        per edge along `axis`: the later ranks' indices are not bounds-checked."""
+        per edge along `axis`: the gathers in "clip" mode do not check it."""
         if self.ends:
             head = (slice(None),) * (axis % v.ndim)
-            acc = v.take(self.edges[:self.ends[0]], axis)
+            # along a leading axis, a run of consecutive vertices is one contiguous
+            # block of out, and the sums go straight into it
+            span = None if head else self.span
+            if span is None:
+                acc = v.take(self.edges[:self.ends[0]], axis)
+            else:
+                acc = out[span]
+                v.take(self.edges[:self.ends[0]], axis, out=acc, mode="clip")
             # every later rank is gathered into one buffer: a new array per rank
             # fragmented the malloc heap, and the `analysis` benchmark's peak RSS
             # (15 ranks on its 8-NN factor) read 89 MB instead of 85 MB
@@ -77,7 +91,8 @@ class _Side:
             for lo, hi in zip(self.ends, self.ends[1:]):
                 rows = head + (slice(hi - lo),)
                 acc[rows] += v.take(self.edges[lo:hi], axis, out=part[rows], mode="clip")
-            out[head + (self.vertices,)] = acc
+            if span is None:
+                out[head + (self.vertices,)] = acc
 
 
 @dataclass(frozen=True)
@@ -96,11 +111,12 @@ class Incidence:
     order, giving L and H, and the lower side comes first:
     (D^T v)[u] = -L + H and (|D|^T v)[u] = L + H (formed as H - L and H + L,
     the same bits). A side costs one `take` per neighbour rank and one
-    assignment, and no copy of v is made. Where no vertex has more than two
-    lower or two higher neighbours (paths, cycles, grids), each side is at
-    most one rounded addition, so any summation order gives these bits; on
-    graphs with more (the hub of a wheel, k-nearest-neighbour graphs)
-    another order, such as `np.add.reduceat`'s, may differ in the last bits.
+    assignment, which its `span` saves along a leading axis, and no copy of
+    v is made. Where no vertex has more than two lower or two higher
+    neighbours (paths, cycles, grids), each side is at most one rounded
+    addition, so any summation order gives these bits; on graphs with more
+    (the hub of a wheel, k-nearest-neighbour graphs) another order, such as
+    `np.add.reduceat`'s, may differ in the last bits.
     """
 
     n: int
@@ -121,9 +137,10 @@ class Incidence:
                    higher=_Side.of(i, np.arange(i.size)),
                    lower=_Side.of(j, np.argsort(j, kind="stable")))
 
-    def apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """D x along `axis`: that axis goes from length n to length |E|."""
-        d = x.take(self.i, axis)
+    def apply(self, x: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+        """D x along `axis`: that axis goes from length n to length |E|. With `out`,
+        written there (it must have that shape)."""
+        d = x.take(self.i, axis, out=out)
         d -= x.take(self.j, axis)
         return d
 

@@ -232,12 +232,13 @@ def test_nonconvergence_is_reported_not_raised():
 
 def test_q1_diminishing_step_fallback_reports_its_own_energy(monkeypatch):
     # an infinite Armijo constant accepts no line-search step, so every move
-    # away from y is the fallback's diminishing step 1 / (|g| (1 + it))
+    # away from y is the fallback's diminishing step 1 / (|g| (1 + it)); a p = 2,
+    # q = 1 solve takes the subgradient loop only when forced to
     monkeypatch.setattr(denoise, "_ARMIJO_C", np.inf)
     g1, g2 = standard_graph("path", 4), standard_graph("cycle", 5)
     y = np.random.default_rng(11).standard_normal((4, 5))
     params = EbemParams(p=2, gamma1=0.8, gamma2=0.8, q1=1.0, q2=1.0)
-    rep = ebem_minimize(y, g1, g2, params, max_iter=6)
+    rep = ebem_minimize(y, g1, g2, params, max_iter=6, force_gradient=True)
     assert rep.method == "gradient" and rep.iterations == 6 and not rep.converged
     assert not np.array_equal(rep.minimizer, y)
     assert rep.energy < ebem_energy(y, y, g1, g2, params)
@@ -253,7 +254,7 @@ def test_only_an_l1_fidelity_may_leave_the_minimizer_nonunique(p, nonunique):
     y = rng.standard_normal((4, 5))
     rep = ebem_minimize(y, g1, g2, EbemParams(p=p, gamma1=0.6, gamma2=0.4, q1=1, q2=1),
                         max_iter=300)
-    assert rep.method == "gradient"
+    assert rep.method == ("dual" if p == 2.0 else "gradient")
     assert rep.maybe_nonunique is nonunique
 
 
@@ -329,3 +330,147 @@ def test_constant_observation_stops_at_a_zero_gradient():
     assert rep.method == "gradient" and rep.iterations == 1
     assert rep.converged and rep.residual == 0.0
     assert np.array_equal(rep.minimizer, y) and rep.energy == 0.0
+
+
+def _dense_incidence(g):
+    """Edge-by-vertex difference matrix of g and its edge weights."""
+    b = np.zeros((g.edge_count, g.n))
+    rows = np.arange(g.edge_count)
+    i, j = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    b[rows, i], b[rows, j] = 1.0, -1.0
+    return b, g.w[i, j]
+
+
+def _tv_certificate(y, g1, g2, gamma1, gamma2, iters=50_000):
+    """The p = 2, q = 1 energy as a dense function, and a lower bound on its minimum.
+
+    The bound is the dual g(z) = <D^T z, y> - ||D^T z||^2 / 4 over |z_e| <= gamma w_e,
+    maximized by FISTA with a function-value restart on dense incidence matrices, with
+    the step from the exact largest eigenvalues. Returns (energy, bound, own gap,
+    primal point).
+    """
+    (b1, w1), (b2, w2) = _dense_incidence(g1), _dense_incidence(g2)
+    c1 = gamma1 * w1[:, None] * np.ones((1, g2.n))
+    c2 = gamma2 * np.ones((g1.n, 1)) * w2[None, :]
+
+    def energy(x):
+        return (np.sum((x - y) ** 2) + np.sum(c1 * np.abs(b1 @ x))
+                + np.sum(c2 * np.abs(x @ b2.T)))
+
+    def adjoint(z1, z2):
+        return b1.T @ z1 + z2 @ b2
+
+    def dual(z1, z2):
+        v = adjoint(z1, z2)
+        return float(np.sum(v * y) - 0.25 * np.sum(v * v))
+
+    top = sum(np.linalg.eigvalsh(b.T @ b).max() if b.size else 0.0 for b in (b1, b2))
+    step = 2.0 / top
+    z1, z2 = np.zeros_like(c1), np.zeros_like(c2)
+    p1, p2, t, best = z1, z2, 1.0, 0.0
+    for it in range(1, iters + 1):
+        x = y - 0.5 * adjoint(p1, p2)
+        n1 = np.clip(p1 + step * (b1 @ x), -c1, c1)
+        n2 = np.clip(p2 + step * (x @ b2.T), -c2, c2)
+        t_next = 0.5 * (1 + np.sqrt(1 + 4 * t * t))
+        p1 = n1 + (t - 1) / t_next * (n1 - z1)
+        p2 = n2 + (t - 1) / t_next * (n2 - z2)
+        if dual(n1, n2) < dual(z1, z2):
+            p1, p2, t_next = n1, n2, 1.0
+        z1, z2, t = n1, n2, t_next
+        if it % 200 == 0:
+            best = max(best, dual(z1, z2))
+            x = y - 0.5 * adjoint(z1, z2)
+            own_gap = (energy(x) - best) / best
+            if own_gap <= 1e-12:
+                break
+    return energy, best, own_gap, x
+
+
+TV = EbemParams(p=2, gamma1=0.5, gamma2=0.3, q1=1, q2=1)
+
+
+@pytest.mark.parametrize("graphs", [
+    lambda rng: (standard_graph("path", 16), standard_graph("cycle", 16)),
+    lambda rng: (standard_graph("path", 32), standard_graph("cycle", 32)),
+    lambda rng: (random_graph(rng, 9, p=0.5), standard_graph("cycle", 7)),
+], ids=["16x16", "32x32", "weighted-9x7"])
+def test_q1_dual_solve_meets_an_independent_certificate(graphs):
+    rng = np.random.default_rng(41)
+    g1, g2 = graphs(rng)
+    y = rng.standard_normal((g1.n, g2.n))
+    rep = ebem_minimize(y, g1, g2, TV)
+    energy, bound, own_gap, x = _tv_certificate(y, g1, g2, TV.gamma1, TV.gamma2)
+    assert own_gap <= 1e-10
+    assert rep.method == "dual" and rep.converged and rep.residual <= denoise.DEFAULT_TOL
+    assert (energy(rep.minimizer) - bound) / bound <= 1e-8
+    assert rep.energy == pytest.approx(energy(rep.minimizer), rel=1e-12)
+    assert rep.energy.hex() == ebem_energy(rep.minimizer, y, g1, g2, TV).hex()
+    # the energy is 2-strongly convex, so ||x - x*||^2 <= E(x) - E* <= E(x) - bound
+    radius = sum(np.sqrt(max(energy(v) - bound, 0.0)) for v in (rep.minimizer, x))
+    assert np.sqrt(np.sum((rep.minimizer - x) ** 2)) <= radius
+
+
+def test_q1_dual_report_is_a_certificate():
+    # converged means the duality gap, reported as the residual, is at most tol;
+    # a looser tol stops sooner at a gap that still meets it
+    rng = np.random.default_rng(42)
+    g1, g2 = standard_graph("path", 12), standard_graph("cycle", 9)
+    y = rng.standard_normal((12, 9))
+    tight = ebem_minimize(y, g1, g2, TV)
+    for tol in (1e-3, 1e-6, 1e-10):
+        rep = ebem_minimize(y, g1, g2, TV, tol=tol)
+        assert rep.method == "dual" and rep.converged
+        assert 0 <= rep.residual <= tol
+        assert rep.iterations % denoise._GAP_EVERY == 0 and rep.iterations <= tight.iterations
+        assert rep.energy.hex() == ebem_energy(rep.minimizer, y, g1, g2, TV).hex()
+        # the gap bounds the distance to the optimum
+        assert rep.energy - tight.energy <= tol * rep.energy + 1e-12 * tight.energy
+    cut = ebem_minimize(y, g1, g2, TV, max_iter=7)
+    assert (cut.iterations, cut.converged) == (7, False) and cut.residual > denoise.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("gamma2", [0.0, 0.4])
+def test_q1_dual_solve_of_an_edgeless_factor_returns_y(gamma2):
+    g1, g2 = standard_graph("edgeless", 5), standard_graph("edgeless", 4)
+    y = np.random.default_rng(43).standard_normal((5, 4))
+    rep = ebem_minimize(y, g1, g2, EbemParams(gamma1=0.7, gamma2=gamma2, q1=1, q2=1))
+    assert rep.method == "dual" and rep.converged and rep.iterations == 0
+    assert np.array_equal(rep.minimizer, y) and rep.minimizer is not y
+    assert rep.energy == 0.0 == rep.residual
+
+
+def test_q1_dual_solve_with_one_regularized_direction():
+    # gamma2 = 0 leaves q2 free: only the regularized directions need q = 1
+    rng = np.random.default_rng(44)
+    g1, g2 = standard_graph("path", 10), standard_graph("cycle", 6)
+    y = rng.standard_normal((10, 6))
+    params = EbemParams(gamma1=0.6, gamma2=0.0, q1=1, q2=3)
+    rep = ebem_minimize(y, g1, g2, params)
+    energy, bound, own_gap, _ = _tv_certificate(y, g1, g2, 0.6, 0.0)
+    assert rep.method == "dual" and rep.converged and own_gap <= 1e-10
+    assert (energy(rep.minimizer) - bound) / bound <= 1e-8
+    # each column is denoised on its own along g1
+    column = ebem_minimize(y[:, :1], g1, standard_graph("path", 1), params)
+    assert np.abs(column.minimizer[:, 0] - rep.minimizer[:, 0]).max() <= 1e-6
+
+
+def test_q1_dual_solve_of_a_nonfinite_observation_stops_at_the_first_gap_check():
+    g1, g2 = standard_graph("path", 6), standard_graph("cycle", 5)
+    y = np.random.default_rng(45).standard_normal((6, 5))
+    y[2, 3] = np.nan
+    rep = ebem_minimize(y, g1, g2, TV)
+    assert rep.method == "dual" and not rep.converged
+    assert rep.iterations == denoise._GAP_EVERY and np.isnan(rep.residual)
+
+
+@pytest.mark.parametrize("params", [
+    EbemParams(p=1.5, gamma1=0.5, gamma2=0.5, q1=1, q2=1),
+    EbemParams(p=2, gamma1=0.5, gamma2=0.5, q1=1, q2=1.5),
+], ids=["p1.5", "q2-1.5"])
+def test_only_p2_with_every_regularized_q_one_takes_the_dual(params):
+    g1, g2 = grids()
+    y = np.random.default_rng(46).standard_normal((4, 5))
+    assert ebem_minimize(y, g1, g2, params, max_iter=50).method == "gradient"
+    forced = EbemParams(p=2, gamma1=0.5, gamma2=0.5, q1=1, q2=1)
+    assert ebem_minimize(y, g1, g2, forced, max_iter=50, force_gradient=True).method == "gradient"
