@@ -503,10 +503,10 @@ def _inputs(args) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
-    # the CSV codecs load before the command's working set: loaded at first use, their
-    # long-lived objects would sit above that set in the malloc heap and keep it from
+    # the CSV float encoder loads before the command's working set: loaded at first use,
+    # its long-lived objects would sit above that set in the malloc heap and keep it from
     # shrinking, which raised the peak RSS of commands run one after another
-    from . import _floattext, _csvread  # noqa: F401
+    from . import _floattext  # noqa: F401
     try:
         _env_threads()  # a bad MDGSP_THREADS is a usage error for every command
         _check_options(args)

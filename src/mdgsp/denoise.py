@@ -81,7 +81,8 @@ class SolveReport:
     bounds E(x) - E* relative to E(x), and converged means it is <= tol;
     "gradient": residual is the last relative energy decrease and converged
     means it fell below tol, which for an exponent of 1 certifies no
-    optimality gap.
+    optimality gap; a start whose energy is not finite (a NaN or inf in y)
+    is returned at once with residual NaN, 0 iterations and converged False.
     """
 
     minimizer: np.ndarray
@@ -319,8 +320,10 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
       diminishing step by accepting no Armijo step).
 
     Non-convergence (max_iter reached above tol) is reported in the result,
-    not raised. Only p = 1 leaves the fidelity term not strictly convex, so
-    only then may the minimizer be non-unique (`maybe_nonunique`).
+    not raised; so is a non-finite starting energy on the gradient route,
+    which stops before the first iteration. Only p = 1 leaves the fidelity
+    term not strictly convex, so only then may the minimizer be non-unique
+    (`maybe_nonunique`).
 
     A gamma sweep of closed-form points runs through `closed_form_sweep`,
     which transforms y once.
@@ -336,6 +339,10 @@ def ebem_minimize(y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams,
     smooth = params.p > 1 and params.q1 > 1 and params.q2 > 1
     x = y.copy()
     energy = ebem_energy(x, y, g1, g2, params)
+    if not np.isfinite(energy):  # no step can lower it: nothing to certify
+        return SolveReport(minimizer=x, energy=energy, iterations=0, residual=np.nan,
+                           method="gradient", converged=False,
+                           maybe_nonunique=bool(params.p == 1))
     best_x, best_energy = x, energy
     step = 1.0
     residual = np.inf

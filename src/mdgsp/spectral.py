@@ -75,14 +75,18 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
     ----------
     m : (n, n) real symmetric matrix (checked to 1e-12 relative).
     source : "laplacian" or "adjacency"; for a Laplacian the smallest
-        eigenvalue is verified to be 0 within 1e-10 and tiny negative
-        round-off on the zero eigenvalue is clamped to exactly 0.
+        eigenvalue is verified to be 0 within 1e-10 s, and every
+        eigenvalue within 1e-10 s of 0 (round-off on the zero eigenvalues)
+        is clamped to exactly 0.
 
-    The orthonormality check max |U^T U - I| <= TOL_ORTH and the residual
-    check ||L u_k - lambda_k u_k||_2 <= TOL_EIGPAIR max(1, |lambda_k|) are
+    With s = max(1, max |m|), every tolerance on the decomposition scales
+    with the entries, as eigh's round-off does, so W -> c W keeps a valid
+    Laplacian valid for any c > 0. The orthonormality check
+    max |U^T U - I| <= TOL_ORTH and the residual check
+    ||L u_k - lambda_k u_k||_2 <= TOL_EIGPAIR max(s, |lambda_k|) are
     first certified by `_probe_bound` from r = 10 Gaussian probes of the
     fixed seed _PROBE_SEED: a bound within tolerance on the norm of
-    U^T U - I and of (LU - U Lambda) D^-1, D = diag(max(1, |lambda|)),
+    U^T U - I and of (LU - U Lambda) D^-1, D = diag(max(s, |lambda|)),
     implies both, except with probability 1e-10 per call. Only when a bound
     exceeds its tolerance do the exact checks run, and only they refuse.
 
@@ -98,7 +102,7 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
         raise SpectrumError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise SpectrumError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(m).max()))
+    scale = _entry_scale(m)
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise SpectrumError("matrix is not symmetric within 1e-12 relative tolerance")
 
@@ -112,19 +116,20 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
     vectors[:, flip] = -vectors[:, flip]
 
     if source == "laplacian":
-        if abs(values[0]) > 1e-10:
+        zero = 1e-10 * scale
+        if abs(values[0]) > zero:
             raise SpectrumError(
                 f"laplacian eigenvalue 0 missing: smallest is {values[0]!r}"
             )
         # A PSD Laplacian's zero eigenvalues come out as +-eps round-off;
         # pin them so spectra and kernels see exactly 0.
-        values[np.abs(values) <= 1e-10] = 0.0
+        values[np.abs(values) <= zero] = 0.0
 
-    # Probe certificate (see `_probe_bound`): with D = diag(max(1, |lambda|)),
+    # Probe certificate (see `_probe_bound`): with D = diag(max(scale, |lambda|)),
     # ||U^T U - I||_2 <= TOL_ORTH bounds every entry of U^T U - I and
     # ||(LU - U Lambda) D^-1||_2 <= TOL_EIGPAIR every scaled residual column, which are
     # the two exact criteria. One product P = U [W, D^-1 W, Lambda D^-1 W] serves both.
-    d = np.maximum(1.0, np.abs(values))[:, None]
+    d = np.maximum(scale, np.abs(values))[:, None]
 
     def errors(probes):
         w = probes.T
@@ -140,9 +145,14 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
     return EigenBasis(values=values, vectors=vectors, source=source)
 
 
+def _entry_scale(m: np.ndarray) -> float:
+    """max(1, max |m|): the scale of a matrix's round-off, which its tolerances follow."""
+    return max(1.0, float(np.abs(m).max()))
+
+
 def _check_eigenpairs(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
     """The exact checks: max |U^T U - I| <= TOL_ORTH, and every residual column
-    ||L u_k - lambda_k u_k||_2 <= TOL_EIGPAIR max(1, |lambda_k|)."""
+    ||L u_k - lambda_k u_k||_2 <= TOL_EIGPAIR max(s, |lambda_k|), s = `_entry_scale(m)`."""
     n = m.shape[0]
     gram = vectors.T @ vectors  # |U^T U - I|, in place
     gram.reshape(-1)[::n + 1] -= 1.0
@@ -151,7 +161,7 @@ def _check_eigenpairs(m: np.ndarray, values: np.ndarray, vectors: np.ndarray) ->
     if gram_err > TOL_ORTH:
         raise SpectrumError(f"eigenvectors not orthonormal: max error {gram_err:g}")
     resid = m @ vectors - vectors * values
-    bound = TOL_EIGPAIR * np.maximum(1.0, np.abs(values))
+    bound = TOL_EIGPAIR * np.maximum(_entry_scale(m), np.abs(values))
     norms = np.linalg.norm(resid, axis=0)
     if np.any(norms > bound):
         k = int(np.argmax(norms - bound))

@@ -346,38 +346,66 @@ def _csv_lines(blocks: Iterable[str]) -> Iterator[str]:
         yield last.rstrip()
 
 
-def _signal_row(ln: int, line: str) -> np.ndarray:
-    """One signal CSV line as a float row; FormatError naming line `ln` if it does not parse."""
+_SIGNAL_BLOCK = 1 << 16  # characters of whole lines converted by one np.array call
+
+
+def _line_blocks(lines: Iterable[str]) -> Iterator[list[str]]:
+    """`lines` in lists of whole lines, each of at least `_SIGNAL_BLOCK` characters but
+    the last."""
+    block, size = [], 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= _SIGNAL_BLOCK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
+def _block_values(first: int, block: list[str]) -> np.ndarray:
+    """The values of the tokens of `block`, whose first line is line `first`, in one
+    flat array; FormatError naming the first line with a token that does not parse.
+
+    numpy converts each `str` as `float()` does: the same bits, the same ValueError.
+    """
     try:
-        return np.array([float(tok) for tok in line.split(",")])
-    except ValueError as exc:
-        raise FormatError(f"signal CSV line {ln}: {exc}") from exc
+        return np.array(",".join(block).split(","), dtype=np.float64)
+    except ValueError:
+        for ln, line in enumerate(block, start=first):
+            try:
+                np.array(line.split(","), dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"signal CSV line {ln}: {exc}") from exc
+        raise
 
 
 def _signal_from_lines(lines: Iterable[str]) -> Signal2D:
-    """The signal whose CSV lines are `lines` (see `_csv_lines`), parsed one row at a
-    time."""
-    rows = list(starmap(_signal_row, enumerate(lines, start=1)))
+    """The signal whose CSV lines are `lines` (see `_csv_lines`), converted a block of
+    about `_SIGNAL_BLOCK` characters at a time, so only one block's tokens are held.
+
+    A token that does not parse is an error before an empty text, ragged rows or a
+    non-finite value, in that order, as for a text parsed whole.
+    """
+    parts, widths, rows = [], set(), 0
+    for block in _line_blocks(lines):
+        parts.append(_block_values(rows + 1, block))
+        widths.update(line.count(",") + 1 for line in block)
+        rows += len(block)
     if not rows:
         raise FormatError("signal CSV is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len(widths) > 1:
         raise FormatError("signal CSV rows have inconsistent lengths")
-    f = np.array(rows, dtype=np.float64)
+    f = np.concatenate(parts).reshape(rows, widths.pop())
     if not np.all(np.isfinite(f)):
         raise FormatError("signal CSV has non-finite entries")
     return f
 
 
 def signal_from_csv(text: str) -> Signal2D:
-    """The signal of a CSV text: in bulk if it is plain (see `_csvread`), else one
-    token at a time by `float()`; either way the same values, or the same error."""
-    from . import _csvread as bulk  # on first use: see its docstring
-
-    try:
-        return bulk.signal(bulk.text_chunks(text))
-    except bulk.NotPlain:
-        return _signal_from_lines(_csv_lines(_text_lines(text)))
+    """The signal of a CSV text: each token read as `float()` reads it, lines counted
+    after the leading blank lines (see `_signal_from_lines`)."""
+    return _signal_from_lines(_csv_lines(_text_lines(text)))
 
 
 def _write_chunks(chunks: Iterator[str], path: str | Path) -> None:
@@ -392,16 +420,10 @@ def save_signal(f: Signal2D, path: str | Path) -> None:
 
 
 def load_signal(path: str | Path) -> Signal2D:
-    """`signal_from_csv` of a file, read in blocks of whole lines (streamed again as
-    UTF-8 text if the file is not plain)."""
-    from . import _csvread as bulk  # on first use: see its docstring
-
-    try:
-        with open(path, "rb") as raw:
-            return bulk.signal(bulk.file_chunks(raw))
-    except bulk.NotPlain:
-        with _utf8_file(path) as f:
-            return _signal_from_lines(_csv_lines(f))
+    """`signal_from_csv` of a file, streamed as UTF-8 text: only one block of lines is
+    held at a time."""
+    with _utf8_file(path) as f:
+        return _signal_from_lines(_csv_lines(f))
 
 
 _SPECTRUM_HEADER = "k1,k2,lambda1,lambda2,re,im,power"

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from mdgsp import build_graph, eigenbasis, matrices
+from mdgsp import FormatError, build_graph, eigenbasis, matrices
 
 
 def random_graph(rng, n, p=0.6, weighted=True):
@@ -70,3 +70,23 @@ def traced_peak_mb(fn) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def per_token_signal(text):
+    """The signal of a CSV text, read whole and parsed with `float()` one token at a
+    time: the reference that every signal reader must equal, value for value and
+    error for error."""
+    rows = []
+    for ln, line in enumerate(text.strip().splitlines(), start=1):
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise FormatError(f"signal CSV line {ln}: {exc}") from exc
+    if not rows:
+        raise FormatError("signal CSV is empty")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise FormatError("signal CSV rows have inconsistent lengths")
+    f = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(f)):
+        raise FormatError("signal CSV has non-finite entries")
+    return f

@@ -1074,7 +1074,7 @@ def test_gft_rejects_a_malformed_signal(workdir, capsys, text):
 
 @pytest.mark.parametrize("token", ["1.7976931348623159e308", "1e999"])
 def test_gft_rejects_a_signal_that_overflows(workdir, capsys, token):
-    # a plain file, read in bulk: the overflowing token reads as inf, as float() reads it
+    # the overflowing token reads as inf, as float() reads it
     (workdir / "big.csv").write_text(f"1,2,3,4\n1,2,{token},4\n1,2,3,4\n")
     out = workdir / "s.csv"
     assert run("gft", "--g1", workdir / "g1.json", "--g2", workdir / "g2.json",
@@ -1140,7 +1140,7 @@ def test_bad_byte_in_a_graph_read_whole_is_named_by_its_offset(tmp_path, capsys)
 
 
 def test_bad_byte_in_a_signal_read_per_token_is_named_by_its_offset(tmp_path, capsys):
-    # the byte makes the text not plain, so the signal is streamed again per token
+    # the reader decodes 8 KiB at a time: byte 20000 is byte 3616 of its chunk
     save_graph(standard_graph("path", 200), tmp_path / "g1.json")
     save_graph(standard_graph("cycle", 20), tmp_path / "g2.json")
     path = tmp_path / "f.csv"

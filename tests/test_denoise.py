@@ -464,6 +464,17 @@ def test_q1_dual_solve_of_a_nonfinite_observation_stops_at_the_first_gap_check()
     assert rep.iterations == denoise._GAP_EVERY and np.isnan(rep.residual)
 
 
+@pytest.mark.parametrize("force", [False, True], ids=["armijo", "forced-subgradient"])
+def test_gradient_solve_of_a_nonfinite_observation_stops_before_the_first_step(force):
+    g1, g2 = standard_graph("path", 6), standard_graph("cycle", 5)
+    y = np.random.default_rng(45).standard_normal((6, 5))
+    y[2, 3] = np.nan
+    params = EbemParams(gamma1=0.5, gamma2=0.5, q1=1.5, q2=1.5)
+    rep = ebem_minimize(y, g1, g2, params, max_iter=200, force_gradient=force)
+    assert rep.method == "gradient" and not rep.converged
+    assert rep.iterations == 0 and np.isnan(rep.residual) and np.isnan(rep.energy)
+
+
 @pytest.mark.parametrize("params", [
     EbemParams(p=1.5, gamma1=0.5, gamma2=0.5, q1=1, q2=1),
     EbemParams(p=2, gamma1=0.5, gamma2=0.5, q1=1, q2=1.5),

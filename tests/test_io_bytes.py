@@ -394,8 +394,8 @@ def test_spectrum_reader_streams_a_file_with_an_inf_power(tmp_path):
 
 
 def test_signal_reader_streams_a_file_that_is_not_plain(tmp_path):
-    # ", " separators are not plain; read whole, the peak was 4.1 MiB, and streamed it
-    # is 1.9 MiB: the parsed rows and the (1000, 100) array built from them
+    # ", " separators put a space before every token, which float() accepts; read
+    # whole, the peak was 4.1 MiB, and streamed a block of lines at a time it is 1.7 MiB
     f = np.random.default_rng(10).standard_normal((1000, 100))
     path = tmp_path / "f.csv"
     path.write_text("".join(", ".join(map(repr, row)) + "\n" for row in f.tolist()))

@@ -12,16 +12,21 @@ import mdgsp
 import mdgsp.spectral as spectral
 from mdgsp import (
     SpectrumError,
+    build_graph,
     cartesian_product,
     eigenbasis,
     load_matrix,
+    load_spectrum,
     matrices,
     multiplicity_partition,
+    save_graph,
     save_matrix,
+    save_signal,
     standard_graph,
     vandermonde,
 )
-from helpers import random_graph
+from mdgsp.cli import main
+from helpers import random_graph, sensor_graph
 
 
 def test_p2_spectrum_by_hand():
@@ -281,3 +286,59 @@ def test_error_just_over_the_tolerance_falls_back_and_is_refused(monkeypatch):
     with pytest.raises(SpectrumError, match=r"^eigenpair \d+ residual .* exceeds tolerance$"):
         eigenbasis(matrices(standard_graph("path", 30)).W, "adjacency")
     assert calls == [30]
+
+
+def two_sensor_graphs(rng, n=100):
+    """The disjoint union of two n-vertex sensor graphs: a graph of two components."""
+    edges = []
+    for offset in (0, n):
+        d = sensor_graph(rng, n).incidence
+        edges += [(offset + i, offset + j, w)
+                  for i, j, w in zip(d.i.tolist(), d.j.tolist(), d.w.tolist())]
+    return 2 * n, edges
+
+
+def component_count(w):
+    """Connected components of the graph with weight matrix w, by breadth-first search."""
+    seen = np.zeros(len(w), dtype=bool)
+    count = 0
+    for s in range(len(w)):
+        if not seen[s]:
+            count += 1
+            front = np.eye(1, len(w), s, dtype=bool)[0]
+            while front.any():
+                seen |= front
+                front = (w[front] > 0).any(axis=0) & ~seen
+    return count
+
+
+SCALED_GRAPHS = {
+    "path": lambda: (50, [(i, i + 1, 1.0) for i in range(49)]),
+    "two-component-knn": lambda: two_sensor_graphs(np.random.default_rng(3)),
+}
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e5, 1e6, 1e8])
+@pytest.mark.parametrize("kind", list(SCALED_GRAPHS))
+def test_weight_scaling_scales_the_laplacian_spectrum(kind, c):
+    # W -> c W: the zero eigenvalues stay exactly 0, one per component, and the others
+    # scale by c
+    n, edges = SCALED_GRAPHS[kind]()
+    unit_graph = build_graph(n, edges)
+    unit = eigenbasis(matrices(unit_graph).L, "laplacian").values
+    scaled = eigenbasis(matrices(build_graph(n, [(i, j, c * w) for i, j, w in edges])).L,
+                        "laplacian").values
+    k = component_count(unit_graph.w)
+    assert k == (1 if kind == "path" else 2)
+    for values in (unit, scaled):
+        assert np.count_nonzero(values == 0.0) == k and np.all(values[:k] == 0.0)
+    np.testing.assert_allclose(scaled[k:], c * unit[k:], rtol=1e-12, atol=0)
+
+
+def test_gft_of_a_heavily_weighted_path_succeeds(tmp_path):
+    save_graph(build_graph(50, [(i, i + 1, 1e7) for i in range(49)]), tmp_path / "g1.json")
+    save_graph(standard_graph("cycle", 4), tmp_path / "g2.json")
+    save_signal(np.random.default_rng(5).standard_normal((50, 4)), tmp_path / "f.csv")
+    assert main(["gft", "--g1", str(tmp_path / "g1.json"), "--g2", str(tmp_path / "g2.json"),
+                 "--signal", str(tmp_path / "f.csv"), "--out", str(tmp_path / "s.csv")]) == 0
+    assert load_spectrum(tmp_path / "s.csv").lambdas1[0] == 0.0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import distinct_spectrum_graph, laplacian_basis, random_graph
+from helpers import distinct_spectrum_graph, laplacian_basis, per_token_signal, random_graph
 
 from mdgsp import (
     DimensionError,
@@ -401,14 +401,14 @@ SIGNAL_TEXTS = [
     "1.0,nan\n",
     "\n \t\n",
     "",
-    # the edges of the bulk path: each reads as the per-token reader reads it
+    # layouts and spellings a bulk parser could read otherwise than float() does
     "1.0,2.0\n3.0,4.0",  # no final newline
     "1.0,2.0\n3.0,4.0\n\n\n",  # trailing blank lines
     "1.0,,2.0\n3.0,4.0,5.0\n",  # an empty field
     "1.0,2.0,\n3.0,4.0,\n",  # a trailing comma
     "1.0\n-2.5\n3e-5\n",  # one column
     "7",  # one value
-    "1_0,2\n3,4\n",  # float() accepts the underscore; the bulk path does not
+    "1_0,2\n3,4\n",  # float() accepts the underscore; np.loadtxt does not
     "1,2\r\n3,4",
     "\ufeff1.0,2.0\n3.0,4.0\n",  # a byte order mark
     "\n1.0,2.0\n3.0,4.0\n",  # a leading blank line
@@ -433,11 +433,7 @@ def test_signal_file_reader_equals_the_text_reader(tmp_path, text):
     assert outcomes[0] == outcomes[1]
 
 
-def per_token_signal(text):
-    return transforms._signal_from_lines(text.strip().splitlines())
-
-
-MANY_ROWS = "1.0,2.0\n" * 20000  # 160 kB: the bulk readers take it in three blocks
+MANY_ROWS = "1.0,2.0\n" * 20000  # 160 kB: the reader takes it in three blocks
 
 
 @pytest.mark.parametrize("text", SIGNAL_TEXTS + [
@@ -467,10 +463,6 @@ def test_signal_readers_equal_the_per_token_reader(tmp_path, text):
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def per_token_reader_called(*args):
-    raise AssertionError("the per-token reader was called")
-
-
 # Tokens that float() reads on its slow or edge paths: 17 and more digits, exact
 # ties, subnormals, underflow to 0.0, the largest finite value, and spellings
 # float() accepts (-0, leading zeros, no digit on one side of the point, +, E).
@@ -485,12 +477,11 @@ HARD_TOKENS = [
 ]
 
 
-def test_bulk_values_equal_float_bit_for_bit(tmp_path, monkeypatch):
+def test_bulk_values_equal_float_bit_for_bit(tmp_path):
     rng = np.random.default_rng(17)
     random = (rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)).tolist()
     tokens = HARD_TOKENS + [f"{x:.17g}" for x in random] + [f"{x:.17e}" for x in random]
     tokens += [f"{x:.30g}" for x in random[:50]]
-    monkeypatch.setattr(transforms, "_signal_row", per_token_reader_called)
     expected = np.array([float(t) for t in tokens])
     for width in (1, 7):
         cut = len(tokens) - len(tokens) % width
@@ -508,13 +499,6 @@ def test_an_overflowing_token_reads_as_non_finite(tmp_path, token):
     for read in (lambda: signal_from_csv(text), lambda: load_signal(tmp_path / "f.csv")):
         with pytest.raises(FormatError, match="signal CSV has non-finite entries"):
             read()
-
-
-def test_a_plain_signal_file_is_read_in_bulk(tmp_path, monkeypatch):
-    f = np.random.default_rng(10).standard_normal((1000, 100))
-    save_signal(f, tmp_path / "f.csv")
-    monkeypatch.setattr(transforms, "_signal_row", per_token_reader_called)
-    assert load_signal(tmp_path / "f.csv").tobytes() == f.tobytes()
 
 
 def test_a_complex_spectrum_file_round_trips(tmp_path):
