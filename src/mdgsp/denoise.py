@@ -4,12 +4,13 @@ The energy is a p-norm fidelity term plus one weighted edge-difference
 regularizer per factor direction, each with its own weight gamma_n and
 exponent q_n. Each regularizer and its gradient go through the factor's
 weighted incidence operator D (`Graph.incidence`): sum_e w_e |D X|^q and
-D^T (w phi(D X)), so they cost O(|E_n| * n_other) time and memory. Both
-work in place on their own temporaries and hold at most two edge-sized
-arrays at a time. On small grids the count of numpy calls, not the
-arithmetic, sets the cost: at path(64) x cycle(64), one BLAS thread on a
-2-core x86 host, an energy evaluation takes about 40 us and a gradient
-about 90 us.
+D^T (w phi(D X)), so they cost O(|E_n| * n_other) time and memory. D works
+along the leading axis: the second factor's terms read one contiguous copy
+of X^T and transpose their gradient back. Both work in place on their own
+temporaries and hold at most two edge-sized arrays at a time, besides that
+copy. On small grids the count of numpy calls, not the arithmetic, sets the
+cost: at path(64) x cycle(64), one BLAS thread on a 2-core x86 host, an
+energy evaluation takes about 70 us and a gradient about 85 us.
 
 `ebem_minimize` takes one of four routes (`SolveReport.method`): the
 all-quadratic case diagonalizes in the 2-D spectral domain and is solved
@@ -102,11 +103,11 @@ def _abs_pow(t: np.ndarray, q: float) -> np.ndarray:
     return t
 
 
-def _edge_energy(x: np.ndarray, g: Graph, q: float, axis: int) -> float:
-    # (1/2) sum_{i,j} w(i,j) |x_i. - x_j.|^q counts each edge twice, so it
-    # equals sum_e w_e sum_along_other |(D x)_e.|^q
+def _edge_energy(x: np.ndarray, g: Graph, q: float) -> float:
+    # x has g's vertices first. (1/2) sum_{i,j} w(i,j) |x_i. - x_j.|^q counts
+    # each edge twice, so it equals sum_e w_e sum_along_other |(D x)_e.|^q
     d = g.incidence
-    return float(d.weigh(_abs_pow(d.apply(x, axis), q), axis).sum())
+    return float(d.weigh(_abs_pow(d.apply(x), q)).sum())
 
 
 def ebem_energy(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph, params: EbemParams) -> float:
@@ -115,9 +116,9 @@ def ebem_energy(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph, params: Ebem
     y = _observation(y, g1, g2)
     e = float(_abs_pow(x - y, params.p).sum())
     if params.gamma1 > 0:
-        e += params.gamma1 * _edge_energy(x, g1, params.q1, axis=0)
+        e += params.gamma1 * _edge_energy(x, g1, params.q1)
     if params.gamma2 > 0:
-        e += params.gamma2 * _edge_energy(x, g2, params.q2, axis=1)
+        e += params.gamma2 * _edge_energy(np.ascontiguousarray(x.T), g2, params.q2)
     return e
 
 
@@ -134,11 +135,11 @@ def _phi(t: np.ndarray, q: float) -> np.ndarray:
     return t
 
 
-def _edge_gradient(x: np.ndarray, g: Graph, q: float, axis: int) -> np.ndarray:
-    # d/dx of sum_e w_e |(D x)_e|^q is q D^T (w phi(D x)); the factor q is
-    # applied by the caller.
+def _edge_gradient(x: np.ndarray, g: Graph, q: float) -> np.ndarray:
+    # x has g's vertices along its leading axis. d/dx of sum_e w_e |(D x)_e|^q
+    # is q D^T (w phi(D x)); the factor q is applied by the caller.
     d = g.incidence
-    return d.adjoint(d.weigh(_phi(d.apply(x, axis), q), axis), axis)
+    return d.adjoint(d.weigh(_phi(d.apply(x), q)))
 
 
 def _ebem_gradient(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph,
@@ -148,9 +149,9 @@ def _ebem_gradient(x: np.ndarray, y: np.ndarray, g1: Graph, g2: Graph,
     for gamma, q, factor, axis in ((params.gamma1, params.q1, g1, 0),
                                    (params.gamma2, params.q2, g2, 1)):
         if gamma > 0:
-            term = _edge_gradient(x, factor, q, axis)
+            term = _edge_gradient(x if axis == 0 else np.ascontiguousarray(x.T), factor, q)
             term *= gamma * q
-            g += term
+            g += term if axis == 0 else term.T
     return g
 
 

@@ -42,13 +42,15 @@ class SpectralKernel2D:
 
     def evaluate(self, lambdas1: np.ndarray, lambdas2: np.ndarray) -> np.ndarray:
         """Response matrix over the frequency grid lambdas1 x lambdas2."""
-        resp = np.asarray(self.func(np.asarray(lambdas1)[:, None], np.asarray(lambdas2)[None, :]))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with its pair
+            resp = np.asarray(self.func(np.asarray(lambdas1)[:, None],
+                                        np.asarray(lambdas2)[None, :]))
         resp = np.broadcast_to(resp, (len(lambdas1), len(lambdas2)))
         if not np.all(np.isfinite(resp)):
             k = np.argwhere(~np.isfinite(resp))[0]
             raise KernelError(
                 f"kernel response not finite at frequency pair "
-                f"({lambdas1[k[0]]!r}, {lambdas2[k[1]]!r})"
+                f"({float(lambdas1[k[0]])!r}, {float(lambdas2[k[1]])!r})"
             )
         return resp
 

@@ -4,10 +4,11 @@ Vertices are contiguous integers 0..n-1. Product-graph vertices (i1, i2)
 are flattened lexicographically to n2*i1 + i2, and that single ordering is
 used everywhere downstream.
 
-Each graph builds its weighted incidence operator (`Incidence`) once. Along
-one axis of a signal, D x, D^T v and |D|^T v then cost O(|E|) per slice of
-the other axes, in a number of numpy calls set by the largest count of
-lower or higher neighbours; no n x n or |E| x n matrix is formed.
+Each graph builds its weighted incidence operator (`Incidence`) once. It
+works along the leading axis only, with trailing axes as a batch, and a
+caller puts the factor it works on first. D x, D^T v and |D|^T v then cost
+O(|E|) per batch entry, in a number of numpy calls set by the largest count
+of lower or higher neighbours; no n x n or |E| x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -70,29 +71,26 @@ class _Side:
                    span=span if np.array_equal(vertices, np.arange(span.start, span.stop))
                    else None)
 
-    def sum_into(self, out: np.ndarray, v: np.ndarray, axis: int) -> None:
-        """Set out[u] to the sum of v over u's edges on this side, along `axis`,
-        added one neighbour at a time in ascending order. v must have one entry
-        per edge along `axis`: the gathers in "clip" mode do not check it."""
+    def sum_into(self, out: np.ndarray, v: np.ndarray) -> None:
+        """Set out[u] to the sum of the rows of v over u's edges on this side, added
+        one neighbour at a time in ascending order. v must have one row per edge:
+        the gathers in "clip" mode do not check it."""
         if self.ends:
-            head = (slice(None),) * (axis % v.ndim)
-            # along a leading axis, a run of consecutive vertices is one contiguous
-            # block of out, and the sums go straight into it
-            span = None if head else self.span
-            if span is None:
-                acc = v.take(self.edges[:self.ends[0]], axis)
+            # a run of consecutive vertices is one contiguous block of out, and the
+            # sums go straight into it
+            if self.span is None:
+                acc = v.take(self.edges[:self.ends[0]], 0)
             else:
-                acc = out[span]
-                v.take(self.edges[:self.ends[0]], axis, out=acc, mode="clip")
+                acc = out[self.span]
+                v.take(self.edges[:self.ends[0]], 0, out=acc, mode="clip")
             # every later rank is gathered into one buffer: a new array per rank
             # fragmented the malloc heap, and the `analysis` benchmark's peak RSS
             # (15 ranks on its 8-NN factor) read 89 MB instead of 85 MB
             part = np.empty_like(acc) if len(self.ends) > 1 else None
             for lo, hi in zip(self.ends, self.ends[1:]):
-                rows = head + (slice(hi - lo),)
-                acc[rows] += v.take(self.edges[lo:hi], axis, out=part[rows], mode="clip")
-            if span is None:
-                out[head + (self.vertices,)] = acc
+                acc[:hi - lo] += v.take(self.edges[lo:hi], 0, out=part[:hi - lo], mode="clip")
+            if self.span is None:
+                out[self.vertices] = acc
 
 
 @dataclass(frozen=True)
@@ -100,23 +98,25 @@ class Incidence:
     """Weighted incidence operator D of a graph, one row per edge.
 
     Edge e joins vertices i[e] < j[e] with weight w[e], in row-major
-    upper-triangle order. Along one axis of a signal, (D x)[e] is
-    x[i[e]] - x[j[e]], so every edge-wise sum costs O(|E|) per slice of the
-    other axes instead of O(n^2).
+    upper-triangle order. Every array it takes or returns has its vertex or
+    edge axis first, trailing axes being a batch, and (D x)[e] is
+    x[i[e]] - x[j[e]]: every edge-wise sum costs O(|E|) per batch entry
+    instead of O(n^2). A caller working along another axis passes one
+    contiguous copy with that axis first, so every gather copies whole rows.
 
     The adjoints gather. Two tables, built once from the edge order, list
     each vertex's edges to its lower neighbours (`lower`) and to its higher
-    ones (`higher`), by ascending neighbour (see `_Side`). Along `axis`, each
-    side sums v over a vertex's edges one neighbour at a time in ascending
+    ones (`higher`), by ascending neighbour (see `_Side`). Each side sums
+    the rows of v over a vertex's edges one neighbour at a time in ascending
     order, giving L and H, and the lower side comes first:
     (D^T v)[u] = -L + H and (|D|^T v)[u] = L + H (formed as H - L and H + L,
     the same bits). A side costs one `take` per neighbour rank and one
-    assignment, which its `span` saves along a leading axis, and no copy of
-    v is made. Where no vertex has more than two lower or two higher
-    neighbours (paths, cycles, grids), each side is at most one rounded
-    addition, so any summation order gives these bits; on graphs with more
-    (the hub of a wheel, k-nearest-neighbour graphs) another order, such as
-    `np.add.reduceat`'s, may differ in the last bits.
+    assignment, which its `span` saves, and no copy of v is made. Where no
+    vertex has more than two lower or two higher neighbours (paths, cycles,
+    grids), each side is at most one rounded addition, so any summation
+    order gives these bits; on graphs with more (the hub of a wheel,
+    k-nearest-neighbour graphs) another order, such as `np.add.reduceat`'s,
+    may differ in the last bits.
     """
 
     n: int
@@ -125,7 +125,6 @@ class Incidence:
     w: np.ndarray
     higher: _Side = field(repr=False)
     lower: _Side = field(repr=False)
-    _shaped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_weights(cls, w: np.ndarray) -> "Incidence":
@@ -137,42 +136,36 @@ class Incidence:
                    higher=_Side.of(i, np.arange(i.size)),
                    lower=_Side.of(j, np.argsort(j, kind="stable")))
 
-    def apply(self, x: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-        """D x along `axis`: that axis goes from length n to length |E|. With `out`,
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """D x: the leading axis goes from length n to length |E|. With `out`,
         written there (it must have that shape)."""
-        d = x.take(self.i, axis, out=out)
-        d -= x.take(self.j, axis)
+        d = x.take(self.i, 0, out=out)
+        d -= x.take(self.j, 0)
         return d
 
-    def weigh(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Scale each edge slice of v (indexed by edge along `axis`) by its weight, in
-        place; returns v."""
-        trailing = v.ndim - 1 - axis % v.ndim
-        w = self._shaped.get(trailing)
-        if w is None:  # shaped once per number of axes after the edge axis
-            w = self._shaped[trailing] = self.w.reshape((-1,) + (1,) * trailing)
-        v *= w
+    def weigh(self, v: np.ndarray) -> np.ndarray:
+        """Scale each row of v (one per edge) by its edge's weight, in place;
+        returns v."""
+        v *= self.w.reshape((-1,) + (1,) * (v.ndim - 1))
         return v
 
-    def adjoint(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
-        """D^T v along `axis`: +v[e] onto vertex i[e] and -v[e] onto j[e]."""
-        high, low = self._sides(v, axis)
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """D^T v: +v[e] onto vertex i[e] and -v[e] onto j[e]."""
+        high, low = self._sides(v)
         return np.subtract(high, low, out=high)
 
-    def abs_adjoint(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
-        """|D|^T v along `axis`: v[e] onto both endpoints i[e] and j[e]."""
-        high, low = self._sides(v, axis)
+    def abs_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """|D|^T v: v[e] onto both endpoints i[e] and j[e]."""
+        high, low = self._sides(v)
         return np.add(high, low, out=high)
 
-    def _sides(self, v: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        shape = list(v.shape)
-        if shape[axis] != self.i.size:
-            raise DimensionError(f"edge signal has {shape[axis]} entries along axis {axis}, "
+    def _sides(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if v.shape[0] != self.i.size:
+            raise DimensionError(f"edge signal has {v.shape[0]} rows, "
                                  f"expected one per edge ({self.i.size})")
-        shape[axis] = self.n
-        high, low = np.zeros(shape), np.zeros(shape)
-        self.higher.sum_into(high, v, axis)
-        self.lower.sum_into(low, v, axis)
+        high, low = np.zeros((self.n,) + v.shape[1:]), np.zeros((self.n,) + v.shape[1:])
+        self.higher.sum_into(high, v)
+        self.lower.sum_into(low, v)
         return high, low
 
 

@@ -119,7 +119,7 @@ def eigenbasis(m: np.ndarray, source: str) -> EigenBasis:
         zero = 1e-10 * scale
         if abs(values[0]) > zero:
             raise SpectrumError(
-                f"laplacian eigenvalue 0 missing: smallest is {values[0]!r}"
+                f"laplacian eigenvalue 0 missing: smallest is {float(values[0])!r}"
             )
         # A PSD Laplacian's zero eigenvalues come out as +-eps round-off;
         # pin them so spectra and kernels see exactly 0.

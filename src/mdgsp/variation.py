@@ -59,8 +59,9 @@ def local_variation_matrix(f: np.ndarray, g1: Graph, g2: Graph, direction: int) 
     if direction not in (1, 2):
         raise DimensionError(f"direction must be 1 or 2, got {direction}")
     d = (g1 if direction == 1 else g2).incidence
-    axis = direction - 1
-    return np.sqrt(d.abs_adjoint(d.weigh(d.apply(f, axis) ** 2, axis), axis))
+    # the incidence works along the leading axis, so direction 2 works on a copy of f^T
+    sq = d.abs_adjoint(d.weigh(d.apply(f if direction == 1 else np.ascontiguousarray(f.T)) ** 2))
+    return np.sqrt(sq if direction == 1 else sq.T, order="C")
 
 
 def total_directional_variation(f: np.ndarray, g1: Graph, g2: Graph, direction: int,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -672,6 +673,25 @@ def test_nonfinite_samples_exit_7_and_leave_no_files(workdir, capsys):
     assert "not finite" in capsys.readouterr().err
     assert list(workdir.glob("x.npy*")) == [] and not (workdir / "r.json").exists()
     assert list(workdir.glob("*.tmp")) == []
+
+
+def test_nonfinite_kernel_response_exits_7_with_one_line(tmp_path, capsys):
+    # 1e308 + 1e308 overflows at l1 + l2 = 1: the refusal is the only output, and it
+    # prints the frequency pair as plain numbers
+    path3 = standard_graph("path", 3)
+    save_graph(path3, tmp_path / "g.json")
+    save_signal(np.ones((3, 3)), tmp_path / "f.csv")
+    (tmp_path / "k.json").write_text(json.dumps({"kind": "sum-1d", "coeffs": [0, 1e308, 1e308]}),
+                                     encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("filter", "--g1", tmp_path / "g.json", "--g2", tmp_path / "g.json",
+                   "--signal", tmp_path / "f.csv", "--kernel", tmp_path / "k.json",
+                   "--out", tmp_path / "out.csv") == 7
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("mdgsp: error[kernel]: kernel response not finite "
+                                       "at frequency pair (0.0, 1.0)\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_stationarity_memory_does_not_grow_with_samples(tmp_path):

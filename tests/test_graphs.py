@@ -10,11 +10,13 @@ from helpers import random_graph, sensor_graph, traced_peak_mb
 
 from mdgsp import (
     DimensionError,
+    EbemParams,
     FormatError,
     Graph,
     GraphError,
     build_graph,
     cartesian_product,
+    ebem_energy,
     graph_from_json,
     graph_to_json,
     kronecker_sum,
@@ -330,55 +332,53 @@ def _dense_sides(d):
     return plus, minus
 
 
-def _along_edges(m, v, axis):
-    """m^T v along `axis` of v, by a dense matrix product."""
-    moved = np.moveaxis(v, axis, 0)
-    flat = moved.reshape(moved.shape[0], math.prod(moved.shape[1:]))
-    out = (m.T @ flat).reshape((m.shape[1],) + moved.shape[1:])
-    return np.moveaxis(out, 0, axis)
+def _along_edges(m, v):
+    """m^T v along the leading axis of v, by a dense matrix product."""
+    flat = v.reshape(v.shape[0], math.prod(v.shape[1:]))
+    return (m.T @ flat).reshape((m.shape[1],) + v.shape[1:])
 
 
-def _sequential_sides(m, v, axis):
-    """m^T v along `axis`, each vertex's terms added one at a time in ascending
-    edge order (ascending neighbour on either side), by a loop over m's columns."""
-    moved = np.moveaxis(v, axis, 0)
-    out = np.zeros((m.shape[1],) + moved.shape[1:])
+def _sequential_sides(m, v):
+    """m^T v along the leading axis of v, each vertex's terms added one at a time in
+    ascending edge order (ascending neighbour on either side), by a loop over m's
+    columns."""
+    out = np.zeros((m.shape[1],) + v.shape[1:])
     for u in range(m.shape[1]):
         rows = np.flatnonzero(m[:, u])
         if rows.size:
-            out[u] = moved[rows[0]]
+            out[u] = v[rows[0]]
             for r in rows[1:]:
-                out[u] += moved[r]
-    return np.moveaxis(out, 0, axis)
+                out[u] += v[r]
+    return out
 
 
 @pytest.mark.parametrize("g", adjoint_cases())
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_adjoints_match_the_dense_incidence_matrix(g, axis):
+@pytest.mark.parametrize("trailing", [0, 1, 2])
+def test_adjoints_match_the_dense_incidence_matrix(g, trailing):
+    # one row per edge, with 0, 1 or 2 trailing batch axes
     d = g.incidence
     plus, minus = _dense_sides(d)
     rng = np.random.default_rng(61)
-    shape = [3, 4, 5]
-    shape[axis] = d.i.size
+    shape = (d.i.size,) + (4, 5)[:trailing]
     v = rng.standard_normal(shape)
     v[rng.random(shape) < 0.2] = 0.0  # exact zeros, to check the sign of a zero result
-    high, low = _along_edges(plus, v, axis), _along_edges(minus, v, axis)
-    scale = _along_edges(plus + minus, np.abs(v), axis)
+    high, low = _along_edges(plus, v), _along_edges(minus, v)
+    scale = _along_edges(plus + minus, np.abs(v))
     # with at most two edges on each side of every vertex, every summation order of
     # a side rounds once, so the kernel must give the dense product's bits
     exact = max(plus.sum(axis=0).max(initial=0), minus.sum(axis=0).max(initial=0)) <= 2
     assert exact == (g.n != 12)
-    for got, want in ((d.adjoint(v, axis), high - low), (d.abs_adjoint(v, axis), high + low)):
+    for got, want in ((d.adjoint(v), high - low), (d.abs_adjoint(v), high + low)):
         if exact:
             assert_bits_equal(got, want)
         else:
             assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
     # the stated order on every graph: each side one neighbour at a time, lower side first
-    high, low = _sequential_sides(plus, v, axis), _sequential_sides(minus, v, axis)
-    assert_bits_equal(d.adjoint(v, axis), -low + high)
-    assert_bits_equal(d.abs_adjoint(v, axis), low + high)
-    x = rng.standard_normal(v.shape[:axis] + (g.n,) + v.shape[axis + 1:])
-    lhs, rhs = np.vdot(d.apply(x, axis), v), np.vdot(x, d.adjoint(v, axis))
+    high, low = _sequential_sides(plus, v), _sequential_sides(minus, v)
+    assert_bits_equal(d.adjoint(v), -low + high)
+    assert_bits_equal(d.abs_adjoint(v), low + high)
+    x = rng.standard_normal((g.n,) + v.shape[1:])
+    lhs, rhs = np.vdot(d.apply(x), v), np.vdot(x, d.adjoint(v))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.vdot(np.abs(x), scale))
 
 
@@ -386,8 +386,8 @@ def test_adjoints_match_the_dense_incidence_matrix(g, axis):
 def test_adjoint_refuses_a_signal_that_is_not_one_entry_per_edge(length):
     d = standard_graph("wheel", 6).incidence  # 10 edges; the hub has 5 ranks
     with pytest.raises(DimensionError):
-        d.adjoint(np.ones((3, length)), axis=1)
-    assert d.abs_adjoint(np.ones((3, 10)), axis=1).shape == (3, 6)
+        d.adjoint(np.ones((length, 3)))
+    assert d.abs_adjoint(np.ones((10, 3))).shape == (6, 3)
 
 
 def test_incidence_kernels_stay_edge_sized():
@@ -400,6 +400,14 @@ def test_incidence_kernels_stay_edge_sized():
     edge_mb, vertex_mb = g1.edge_count * 100 * 8 / 2**20, f.nbytes / 2**20
     g1.incidence  # the tables are built once per graph, outside the measured calls
     calls = [lambda: local_variation_matrix(f, g1, g2, 1)]
-    calls += [lambda q=q: _edge_gradient(f, g1, q, 0) for q in (1.0, 1.5, 2.0)]
+    calls += [lambda q=q: _edge_gradient(f, g1, q) for q in (1.0, 1.5, 2.0)]
     for call in calls:
         assert traced_peak_mb(call) <= 2 * edge_mb + vertex_mb
+    # with the 8-NN graph as g2, the kernels work on one contiguous copy of the
+    # signal's transpose, a second vertex-sized array
+    ft = np.ascontiguousarray(f.T)
+    params = EbemParams(gamma2=0.5, q2=1.5)
+    calls = [lambda: local_variation_matrix(ft, g2, g1, 2),
+             lambda: ebem_energy(ft, ft, g2, g1, params)]
+    for call in calls:
+        assert traced_peak_mb(call) <= 2 * edge_mb + 2 * vertex_mb

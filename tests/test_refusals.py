@@ -5,6 +5,7 @@ an empty directory, which must stay empty: a refused write leaves no file.
 """
 
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,7 @@ from mdgsp import (
     gft_nd,
     hop_distances,
     inverse_gft_nd,
+    kernel_from_json,
     local_variation_matrix,
     locality_neighborhood,
     matrices,
@@ -114,6 +116,19 @@ def test_bad_argument_is_refused(tmp_path, monkeypatch, call, cls, fragment):
     with pytest.raises(cls, match=re.escape(fragment)):
         call()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_refusals_print_plain_numbers():
+    # a numpy scalar's repr names its type ("np.float64(1.0)"); the kernel's overflow
+    # is refused with its frequency pair, not also warned about
+    with pytest.raises(SpectrumError, match=r"^laplacian eigenvalue 0 missing: smallest is 1\.0$"):
+        eigenbasis(np.eye(3), "laplacian")
+    kernel = kernel_from_json('{"kind": "sum-1d", "coeffs": [0, 1e308, 1e308]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelError, match=r"^kernel response not finite at frequency "
+                                              r"pair \(0\.0, 1\.0\)$"):
+            kernel.evaluate(B3.values, B3.values)
 
 
 def test_eigenpair_residual_is_refused(monkeypatch):
